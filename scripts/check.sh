@@ -35,25 +35,25 @@ fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Smoke the plan-distribution bench end to end (3 rounds): it drives every
-# store backend — in-process, serde, loopback/socket wire, mux, shm — through
+# store backend — in-process, serde, loopback/socket mux wire, shm — through
 # real pushes and fetches, so a backend that builds but cannot move a plan
 # fails CI here rather than in a user's hands.
 "$BUILD_DIR"/bench_plan_distribution 3
 
-# Smoke the standalone executor daemon against both attachment families:
-# each --demo plans a tiny epoch, forks three real executor processes (one
-# deliberately slowed), and exits nonzero on any byte mismatch, undrained
-# plan, or — on the wire — missed straggler attribution / heartbeat count.
-"$BUILD_DIR"/dynapipe_executor --demo socket
+# Smoke the standalone executor daemon against the shm attachment: --demo
+# plans a tiny epoch, forks three real executor processes (one deliberately
+# slowed), and exits nonzero on any byte mismatch, undrained plan, or missed
+# straggler attribution / heartbeat count. The mux attachment's plain demo
+# runs traced at the end of this script.
 "$BUILD_DIR"/dynapipe_executor --demo shm
 
 # Smoke the failure control loop end to end: --fault arms a one-shot fault in
 # one forked executor, and the demo exits nonzero unless the death is
 # declared, the victim's backlog is re-published, and survivors drain every
-# plan byte-identically. crash = SIGKILL mid-epoch (connection-drop path);
-# stall = wedged past the heartbeat deadline (liveness-deadline + eviction
-# fencing path, over the mux transport).
-"$BUILD_DIR"/dynapipe_executor --demo socket --fault crash@1
+# plan byte-identically. Both run over the mux transport. crash = SIGKILL
+# mid-epoch (connection-drop path); stall = wedged past the heartbeat
+# deadline (liveness-deadline + eviction fencing path).
+"$BUILD_DIR"/dynapipe_executor --demo mux --fault crash@1
 "$BUILD_DIR"/dynapipe_executor --demo mux --fault stall:1200@1
 
 # Smoke the shm-native straggler reaction: a stall over the shared-memory

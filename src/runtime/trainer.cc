@@ -23,7 +23,6 @@
 #include "src/service/recovery.h"
 #include "src/sim/cluster_sim.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -251,14 +250,14 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sopts.fold_target_lengths = config_.arch == model::ModelArch::kGpt;
   sopts.serialize_plans = options.serialize_plans;
   sopts.store_capacity = options.instruction_store_capacity;
-  // Socket backends: host the server side of the wire (store + listener) and
-  // hand the service a remote client — one-shot connections (kUnixSocket) or
-  // one persistent multiplexed connection (kUnixSocketMux). Declared before
-  // `service` below so the server outlives it — the service's shutdown still
-  // round-trips through the socket. The publisher's deferral logic needs
-  // store_capacity to mirror the server store's bound, which it does by
-  // construction here. The shared-memory backend needs no server at all: the
-  // segment is the store, and an executor process could attach to it by name.
+  // Socket backend: host the server side of the wire (store + listener) and
+  // hand the service a client on one persistent multiplexed connection.
+  // Declared before `service` below so the server outlives it — the service's
+  // shutdown still round-trips through the socket. The publisher's deferral
+  // logic needs store_capacity to mirror the server store's bound, which it
+  // does by construction here. The shared-memory backend needs no server at
+  // all: the segment is the store, and an executor process could attach to it
+  // by name.
   std::optional<InstructionStore> server_store;
   std::optional<transport::UnixSocketTransport> socket_transport;
   std::optional<transport::InstructionStoreServer> store_server;
@@ -327,9 +326,7 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     membership.emplace(store, &heartbeat_monitor, &*recovery, mopts);
   };
   if (options.plan_store_backend ==
-          TrainerOptions::PlanStoreBackend::kUnixSocket ||
-      options.plan_store_backend ==
-          TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
+      TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
     server_store.emplace(InstructionStoreOptions{
         /*serialized=*/true, options.instruction_store_capacity});
     socket_transport.emplace(options.plan_store_socket_path.empty()
@@ -363,36 +360,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     // runs synchronously inside the drain-request handler), so no ack hook.
     wire_membership(&*server_store, nullptr);
     store_server.emplace(&*socket_transport, &*server_store);
-    // Fleet barrier: the server is accepting, so executors can attach now;
-    // hold the epoch (nothing published yet) until enough have. In-process
-    // replicas report nothing before iteration 0, so every replica the
-    // monitor knows at this point came over the wire.
-    if (options.liveness_await_replicas > 0) {
-      const auto barrier_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration<double, std::milli>(
-              options.liveness_await_timeout_ms);
-      while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-             options.liveness_await_replicas) {
-        if (std::chrono::steady_clock::now() >= barrier_deadline) {
-          result.feasible = false;
-          result.failure =
-              "timed out waiting for " +
-              std::to_string(options.liveness_await_replicas) +
-              " replicas to attach";
-          return result;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    if (options.plan_store_backend ==
-        TrainerOptions::PlanStoreBackend::kUnixSocket) {
-      sopts.store = transport::RemoteInstructionStore::OverUnixSocket(
-          socket_transport->path());
-    } else {
-      sopts.store = transport::MuxInstructionStore::OverUnixSocket(
-          socket_transport->path());
-    }
+    sopts.store = transport::MuxInstructionStore::OverUnixSocket(
+        socket_transport->path());
   } else if (options.plan_store_backend ==
              TrainerOptions::PlanStoreBackend::kSharedMemory) {
     transport::ShmStoreOptions shm_opts;
@@ -419,23 +388,29 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
                       raw->AcknowledgeDrain(replica);
                     });
     shm_poller.emplace(shm_store, &heartbeat_monitor);
-    if (options.liveness_await_replicas > 0) {
-      const auto barrier_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration<double, std::milli>(
-              options.liveness_await_timeout_ms);
-      while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-             options.liveness_await_replicas) {
-        if (std::chrono::steady_clock::now() >= barrier_deadline) {
-          result.feasible = false;
-          result.failure =
-              "timed out waiting for " +
-              std::to_string(options.liveness_await_replicas) +
-              " replicas to attach";
-          return result;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Fleet barrier: the server is accepting (or the segment exists), so
+  // executors can attach now; hold the epoch (nothing published yet) until
+  // enough have. In-process replicas report nothing before iteration 0, so
+  // every replica the monitor knows at this point came over the wire or
+  // through the segment.
+  if (options.liveness_await_replicas > 0 &&
+      options.plan_store_backend !=
+          TrainerOptions::PlanStoreBackend::kInProcess) {
+    const auto barrier_deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration<double, std::milli>(
+            options.liveness_await_timeout_ms);
+    while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
+           options.liveness_await_replicas) {
+      if (std::chrono::steady_clock::now() >= barrier_deadline) {
+        result.feasible = false;
+        result.failure = "timed out waiting for " +
+                         std::to_string(options.liveness_await_replicas) +
+                         " replicas to attach";
+        return result;
       }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
   if (allow_plan_cache && options.plan_cache) {

@@ -82,28 +82,24 @@ struct TrainerOptions {
   // pipeline to the executors (src/transport/):
   //   - kInProcess: the store lives in this process (serialize_plans decides
   //     whether plans cross an encode/decode boundary);
-  //   - kUnixSocket: plans publish through a RemoteInstructionStore client to
-  //     an InstructionStoreServer over a Unix domain socket — the full
+  //   - kUnixSocketMux: plans publish through a MuxInstructionStore client
+  //     to an InstructionStoreServer over a Unix domain socket — the full
   //     cross-process wire path (frames, plan_serde bytes, server-side
-  //     capacity backpressure), one connection per request, hosted in-process
-  //     by the trainer so results stay bit-identical while exercising the
-  //     real transport;
-  //   - kUnixSocketMux: same server, but through a MuxInstructionStore — one
-  //     persistent connection carrying request-id-tagged frames, deferred
-  //     kPush replies for backpressure (src/transport/mux.h); amortizes the
-  //     connect-per-request cost away;
+  //     capacity backpressure as deferred kPush replies) on one persistent
+  //     connection carrying request-id-tagged frames (src/transport/mux.h),
+  //     hosted in-process by the trainer so results stay bit-identical while
+  //     exercising the real transport;
   //   - kSharedMemory: a ShmInstructionStore segment (src/transport/
   //     shm_store.h) — zero-copy same-host distribution; executors could
   //     attach by name from another process, the trainer uses the same
   //     mapping.
   enum class PlanStoreBackend {
     kInProcess,
-    kUnixSocket,
     kUnixSocketMux,
     kSharedMemory,
   };
   PlanStoreBackend plan_store_backend = PlanStoreBackend::kInProcess;
-  // Socket path for kUnixSocket/kUnixSocketMux; empty derives a unique /tmp
+  // Socket path for kUnixSocketMux; empty derives a unique /tmp
   // path per epoch.
   std::string plan_store_socket_path;
   // Segment name for kSharedMemory ("/dynapipe-..."); empty derives a unique

@@ -59,9 +59,9 @@ sim::Instruction ParseInstruction(std::string_view bytes, size_t* pos);
 // Whole-plan codec. Decode(Encode(p)) == p for every well-formed plan.
 std::string EncodeExecutionPlan(const sim::ExecutionPlan& plan);
 // Encodes into the caller's buffer (cleared first, capacity kept). Publishers
-// that push plans in a steady-state loop (remote store, mux client, shm
-// store) reuse one scratch buffer per thread so encoding allocates nothing
-// once the buffer has grown to plan size.
+// that push plans in a steady-state loop (mux client, shm store) reuse one
+// scratch buffer per thread so encoding allocates nothing once the buffer has
+// grown to plan size.
 void EncodeExecutionPlanInto(const sim::ExecutionPlan& plan, std::string* out);
 sim::ExecutionPlan DecodeExecutionPlan(std::string_view bytes);
 // Non-fatal decode: nullopt on any malformed input (truncation, bad

@@ -12,12 +12,12 @@
 // wire speaks one encoding.
 //
 // request_id correlates replies with requests on a multiplexed connection
-// (mux.h): the client tags every request with a fresh id and the server
-// echoes it on the reply, so many requests can be in flight on one long-lived
-// stream and the demux loop matches each reply to its waiter. The
-// one-connection-per-request path sends id 0 (one varint byte) and ignores it
-// on replies — on a strict request/response stream there is nothing to
-// correlate. Either way, the server replying to kPush only after the store
+// (mux.h): the client tags every request with a fresh id and the server echoes
+// it on the reply, so many requests can be in flight on one long-lived stream
+// and the demux loop matches each reply to its waiter. Clients only ever send
+// non-zero ids; the server still accepts 0 (one varint byte) and echoes
+// whatever it received, so a hand-written strict request/response exchange
+// needs no id bookkeeping. The server replying to kPush only after the store
 // accepted the plan is exactly how capacity backpressure crosses the process
 // boundary: the client's Push blocks waiting for that kOk until a Fetch frees
 // a slot.
@@ -115,8 +115,8 @@ struct Frame {
 
 // Writes one frame; false when the peer is gone. The overload taking
 // `scratch` assembles the wire bytes in the caller's buffer instead of a
-// fresh allocation — steady-state publishers (remote store, mux client) reuse
-// one buffer per thread so pushing a plan does no per-plan heap allocation
+// fresh allocation — steady-state publishers (the mux client) reuse one
+// buffer per thread so pushing a plan does no per-plan heap allocation
 // once the buffer has grown to plan size.
 bool WriteFrame(Stream& stream, const Frame& frame);
 bool WriteFrame(Stream& stream, const Frame& frame, std::string* scratch);
@@ -159,8 +159,8 @@ bool TryParseStatsPayload(std::string_view payload, int64_t* trace_now_us,
 // kAttach capability payload (frame v3/v4). v2 attach payloads were empty and
 // remain valid (no capabilities). Byte 0 is a capability bitmask today;
 // kAttachCapStats marks a connection whose client demux answers
-// server-initiated kStatsRequest frames (the mux client); one-shot liveness
-// attaches must NOT set it — nothing reads their stream between requests.
+// server-initiated kStatsRequest frames (the mux client); a raw attach
+// whose stream nobody reads between requests must NOT set it.
 inline constexpr uint8_t kAttachCapStats = 0x01;
 // frame v4: the attaching replica declares it may be *outside* the fleet the
 // publisher configured — a mid-epoch joiner. The server's handling is

@@ -1,10 +1,10 @@
 // Persistent multiplexed connection to an InstructionStoreServer.
 //
-// The one-connection-per-request client (remote_store.h) pays a connect() /
-// accept() round trip and a server-side thread spawn for every operation —
-// fine for a handful of plans, dominant once plans ship every few
-// milliseconds (grid search at scale). MuxInstructionStore keeps ONE
-// long-lived stream per executor and multiplexes every request over it:
+// The only socket client of the store server. A connection per request would
+// pay a connect() / accept() round trip and a server-side thread spawn for
+// every operation — dominant once plans ship every few milliseconds (grid
+// search at scale) — so MuxInstructionStore keeps ONE long-lived stream per
+// executor and multiplexes every request over it:
 //
 //   - each request carries a fresh request_id (frame.h); a writer mutex
 //     serializes frame writes, so requests from any number of threads
@@ -24,8 +24,8 @@
 //
 // A torn or malformed reply stream is a connection error, not a crash: the
 // demux loop closes the stream, fails every outstanding waiter, and marks
-// the client dead (connection_ok()); subsequent calls are fatal at the call
-// site, same as the one-shot client's contract.
+// the client dead (connection_ok()); subsequent interface calls are fatal at
+// the call site, and the Try* variants report the loss instead.
 #ifndef DYNAPIPE_SRC_TRANSPORT_MUX_H_
 #define DYNAPIPE_SRC_TRANSPORT_MUX_H_
 
@@ -66,9 +66,8 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   MuxInstructionStore(const MuxInstructionStore&) = delete;
   MuxInstructionStore& operator=(const MuxInstructionStore&) = delete;
 
-  // Endpoint conveniences, mirroring RemoteInstructionStore's. Both open the
-  // one persistent connection eagerly; the socket overload retries while the
-  // server process is still binding.
+  // Endpoint conveniences. Both open the one persistent connection eagerly;
+  // the socket overload retries while the server process is still binding.
   static std::shared_ptr<MuxInstructionStore> OverTransport(
       Transport* transport);
   static std::shared_ptr<MuxInstructionStore> OverUnixSocket(

@@ -1,7 +1,7 @@
 // Shared-memory instruction store: zero-copy same-host plan distribution.
 //
-// The socket path (remote_store.h) pays an encode, two copies, and a wire
-// round trip per hop. Plans are immutable once published, so same-host
+// The socket path (mux.h) pays an encode, two copies, and a wire round trip
+// per hop. Plans are immutable once published, so same-host
 // executors can instead map the store's memory directly: a POSIX shared
 // memory segment (shm_open + mmap) holding an append-only arena of serialized
 // plans plus a fixed-slot index keyed by (iteration, replica). The publisher

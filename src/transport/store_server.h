@@ -2,15 +2,15 @@
 //
 // InstructionStoreServer exposes an in-process InstructionStore over a
 // Transport: the planner process owns the store and the server; executor
-// processes reach it through RemoteInstructionStore (one connection per
-// request) or MuxInstructionStore (one persistent multiplexed connection).
+// processes reach it through MuxInstructionStore (one persistent multiplexed
+// connection per executor).
 // This is the paper's Redis role (§3) — a host-memory store of serialized
 // instruction streams between the dataloader-side planners and the executors.
 //
 // Concurrency model: the accept loop hands each connection to its own demux
-// thread, which serves request frames in a loop until the peer closes (a
-// one-shot client closes after its single exchange, a mux client keeps the
-// stream for its lifetime). Non-blocking requests (fetch/contains/size/
+// thread, which serves request frames in a loop until the peer closes (a mux
+// client keeps the stream for its lifetime; a reconnecting client leaves the
+// old one behind). Non-blocking requests (fetch/contains/size/
 // shutdown) are answered inline; kPush is handed to the connection's push
 // worker thread, which may park in the store's capacity wait — the kOk reply
 // is *deferred* until the store accepted the plan, which is how blocking-Push
@@ -79,13 +79,13 @@ class InstructionStoreServer {
 
   // Mid-epoch executor observability: sends kStatsRequest to every live
   // connection that attached a replica AND declared the stats capability in
-  // its kAttach payload (the mux client does; one-shot liveness connections
-  // do not — nothing reads their stream between requests), then waits up to
-  // `timeout_ms` for the kStatsReply round trips. Returns whatever arrived in
-  // time; a silent or vanished peer just drops out of the result. Safe to
-  // call at any time, including concurrently with traffic on the polled
-  // connections — server-initiated requests use their own id space and the
-  // client demux answers them by type, so they never collide with the
+  // its kAttach payload (the mux client does; a raw attach with an empty
+  // payload does not — nothing reads its stream between requests), then waits
+  // up to `timeout_ms` for the kStatsReply round trips. Returns whatever
+  // arrived in time; a silent or vanished peer just drops out of the result.
+  // Safe to call at any time, including concurrently with traffic on the
+  // polled connections — server-initiated requests use their own id space and
+  // the client demux answers them by type, so they never collide with the
   // client's own in-flight ids.
   std::vector<RemoteReplicaStats> CollectRemoteStats(int timeout_ms);
 

@@ -1,6 +1,6 @@
 // Tests for the cross-process plan distribution wire (src/transport): the
 // length-prefixed frame protocol (round-trip, malformed-input rejection), the
-// loopback and Unix-socket byte streams, the store server / remote client
+// loopback and Unix-socket byte streams, the store server / mux client
 // pair, and — the point of the subsystem — a fork()ed two-process run where a
 // planner process publishes an epoch of plans over a Unix domain socket and
 // an executor process fetches byte-identical copies of what the in-process
@@ -37,7 +37,6 @@
 #include "src/service/recovery.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -182,7 +181,7 @@ TEST(UnixSocketTransportTest, ConnectToAbsentServerTimesOut) {
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
-// ---------- remote store over both transports ----------
+// ---------- the store server over a raw wire ----------
 
 sim::ExecutionPlan MarkerPlan(int32_t marker) {
   sim::ExecutionPlan plan;
@@ -196,42 +195,36 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
   return plan;
 }
 
-template <typename MakeTransport>
-void RemoteStoreRoundTrip(MakeTransport make_transport) {
+// The raw frame v4 exchange a wire joiner performs, held against a live
+// server with no client library in between: kAttach whose one-byte
+// capability payload carries kAttachCapJoin, answered kOk, and the replica
+// turns alive in the publisher's monitor. The stream stays open until the
+// check is done — closing it would read as the joiner vanishing right after
+// it arrived.
+TEST(WireJoinTest, RawAttachWithJoinCapabilityTurnsReplicaAlive) {
+  service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  auto transport = make_transport();
-  transport::InstructionStoreServer server(transport.get(), &store);
-  auto client = transport::RemoteInstructionStore::OverTransport(transport.get());
+  store.set_heartbeat_sink(&monitor);
+  transport::UnixSocketTransport transport(UniqueSocketPath("join"));
+  transport::InstructionStoreServer server(&transport, &store);
 
-  const sim::ExecutionPlan p0 = MarkerPlan(1);
-  const sim::ExecutionPlan p1 = MarkerPlan(2);
-  client->Push(0, 0, p0);
-  client->Push(0, 1, p1);
-  EXPECT_EQ(client->size(), 2u);
-  EXPECT_TRUE(client->Contains(0, 0));
-  EXPECT_FALSE(client->Contains(1, 0));
-  // The client's wire volume matches the server store's resident bytes: the
-  // server never re-encodes what the client sent.
-  EXPECT_EQ(client->serialized_bytes_total(), store.serialized_bytes_total());
-  EXPECT_GT(client->serialized_bytes_total(), 0);
-  EXPECT_EQ(client->Fetch(0, 1), p1);
-  EXPECT_EQ(client->Fetch(0, 0), p0);
-  EXPECT_EQ(client->size(), 0u);
-  EXPECT_GE(server.requests_served(), 8);
+  std::unique_ptr<transport::Stream> conn = transport.Connect();
+  ASSERT_NE(conn, nullptr);
+  transport::Frame attach;
+  attach.type = transport::FrameType::kAttach;
+  attach.replica = 9;
+  attach.payload.push_back(static_cast<char>(transport::kAttachCapJoin));
+  ASSERT_TRUE(WriteFrame(*conn, attach));
+  const std::optional<transport::Frame> reply = ReadFrame(*conn);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, transport::FrameType::kOk);
+  EXPECT_EQ(reply->request_id, 0u);  // the server echoes the id it received
+  EXPECT_EQ(monitor.Liveness(9), service::ReplicaLiveness::kAlive);
+  // A join is announcement, not publication: the store itself is untouched.
+  EXPECT_EQ(store.size(), 0u);
+  conn->Close();
   server.Stop();
-}
-
-TEST(RemoteStoreTest, RoundTripOverLoopback) {
-  RemoteStoreRoundTrip(
-      [] { return std::make_unique<transport::LoopbackTransport>(); });
-}
-
-TEST(RemoteStoreTest, RoundTripOverUnixSocket) {
-  RemoteStoreRoundTrip([] {
-    return std::make_unique<transport::UnixSocketTransport>(
-        UniqueSocketPath("rt"));
-  });
 }
 
 // ---------- the two-process epoch (acceptance criterion) ----------
@@ -270,7 +263,7 @@ bool ReadFull(int fd, void* data, size_t n) {
 
 // The planner process plans a short epoch and publishes every plan to its
 // store, served over a Unix domain socket; a fork()ed executor process
-// fetches each plan with RemoteInstructionStore, decodes it, and streams the
+// fetches each plan with MuxInstructionStore, decodes it, and streams the
 // re-encoded bytes back over a pipe. Those bytes must equal — byte for byte —
 // what the in-process serialized store holds for the same epoch.
 TEST(TwoProcessPlanDistributionTest, SocketFetchesAreByteIdenticalToInProcess) {
@@ -340,7 +333,7 @@ TEST(TwoProcessPlanDistributionTest, SocketFetchesAreByteIdenticalToInProcess) {
     if (!ReadFull(ready_pipe[0], &go, 1)) {
       ::_exit(2);  // planner died before publishing
     }
-    auto remote = transport::RemoteInstructionStore::OverUnixSocket(
+    auto remote = transport::MuxInstructionStore::OverUnixSocket(
         socket_path, /*connect_timeout_ms=*/10'000);
     for (int i = 0; i < kIterations; ++i) {
       const sim::ExecutionPlan plan = remote->Fetch(i, 0);
@@ -505,9 +498,7 @@ TEST(TwoProcessShmPlanDistributionTest, AttachedFetchesAreByteIdentical) {
 // heartbeat completion back over the transport. Replica 2 is deliberately
 // slowed; the trainer's HeartbeatMonitor must attribute the straggle to it
 // (and only it) on every iteration, and every plan each executor fetched
-// must re-encode to exactly the bytes the trainer published. Replica 1
-// attaches through the multiplexed client so heartbeats from both wire
-// client types are exercised.
+// must re-encode to exactly the bytes the trainer published.
 TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
   // Plan the epoch inline and threadless so the forks below inherit nothing.
   cost::ProfileOptions profile;
@@ -557,8 +548,7 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
       // signal is needed. Exit codes become parent-side failures.
       executor::ExecutorOptions opts;
       opts.attach = socket_path;
-      opts.endpoint = replica == 1 ? executor::AttachEndpoint::kUnixSocketMux
-                                   : executor::AttachEndpoint::kUnixSocket;
+      opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
       opts.replica = replica;
       opts.iterations = kIterations;
       opts.slow_ms = replica == kSlowReplica ? kSlowMs : 0.0;
@@ -626,53 +616,48 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
 
 // The daemon shape: an open-ended executor (iterations < 0) drains plans as
 // they appear and exits *cleanly* — ok report, no abort — when the
-// publisher tears its server down, because the publish poll probes the
-// socket non-fatally over throwaway connections instead of going through a
-// store client's fatal Contains. Both wire attachments are covered: the mux
-// endpoint polls the same way precisely so server teardown cannot race a
-// Contains on its persistent stream into the fatal no-reply contract.
+// publisher tears its server down. The publish poll rides the mux client's
+// non-fatal TryContains and a lost stream goes through the bounded
+// reconnect, so server teardown cannot race a poll into the fatal no-reply
+// contract of a plain Contains.
 TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
-  for (const auto endpoint : {executor::AttachEndpoint::kUnixSocket,
-                              executor::AttachEndpoint::kUnixSocketMux}) {
-    SCOPED_TRACE(executor::EndpointName(endpoint));
-    const std::string socket_path = UniqueSocketPath("drain");
-    service::HeartbeatMonitor monitor;
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    auto transport =
-        std::make_unique<transport::UnixSocketTransport>(socket_path);
-    store.set_heartbeat_sink(&monitor);
-    auto server = std::make_unique<transport::InstructionStoreServer>(
-        transport.get(), &store);
-    store.Push(0, 0, MarkerPlan(1));
-    store.Push(1, 0, MarkerPlan(2));
+  const std::string socket_path = UniqueSocketPath("drain");
+  service::HeartbeatMonitor monitor;
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  auto transport =
+      std::make_unique<transport::UnixSocketTransport>(socket_path);
+  store.set_heartbeat_sink(&monitor);
+  auto server = std::make_unique<transport::InstructionStoreServer>(
+      transport.get(), &store);
+  store.Push(0, 0, MarkerPlan(1));
+  store.Push(1, 0, MarkerPlan(2));
 
-    executor::ExecutorReport report;
-    std::thread daemon([&] {
-      executor::ExecutorOptions opts;
-      opts.attach = socket_path;
-      opts.endpoint = endpoint;
-      opts.replica = 0;
-      opts.iterations = -1;           // open-ended: run until the epoch ends
-      opts.idle_timeout_ms = 30'000;  // exit must come from teardown
-      report = executor::RunExecutor(opts);
-    });
-    // Both published plans executed and heartbeat; the daemon is now parked
-    // polling for iteration 2.
-    while (monitor.total_heartbeats() < 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Publisher teardown: destroying the transport closes the listener and
-    // unlinks the path, so the daemon's probes read "publisher gone".
-    server->Stop();
-    server.reset();
-    transport.reset();
-    daemon.join();
-    EXPECT_TRUE(report.ok) << report.error;
-    EXPECT_EQ(report.iterations_run, 2);
-    EXPECT_EQ(report.heartbeats_sent, 2);
-    EXPECT_EQ(store.size(), 0u);
+  executor::ExecutorReport report;
+  std::thread daemon([&] {
+    executor::ExecutorOptions opts;
+    opts.attach = socket_path;
+    opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
+    opts.replica = 0;
+    opts.iterations = -1;           // open-ended: run until the epoch ends
+    opts.idle_timeout_ms = 30'000;  // exit must come from teardown
+    report = executor::RunExecutor(opts);
+  });
+  // Both published plans executed and heartbeat; the daemon is now parked
+  // polling for iteration 2.
+  while (monitor.total_heartbeats() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // Publisher teardown: destroying the transport closes the listener and
+  // unlinks the path, so the daemon's probes read "publisher gone".
+  server->Stop();
+  server.reset();
+  transport.reset();
+  daemon.join();
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.iterations_run, 2);
+  EXPECT_EQ(report.heartbeats_sent, 2);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 // ---------- the failure control loop (acceptance criterion) ----------
@@ -686,9 +671,7 @@ TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
 // Byte checks are set-membership (not index) because a survivor that picks
 // up a dead replica's re-published plan sees it at a spare iteration number,
 // with bytes identical to some plan the parent published.
-[[noreturn]] void RunFaultChild(const std::string& socket_path,
-                                executor::AttachEndpoint endpoint,
-                                int32_t replica,
+[[noreturn]] void RunFaultChild(const std::string& attach, int32_t replica,
                                 const std::vector<std::string>& expected_bytes,
                                 const char* fault_spec, int64_t iterations,
                                 bool require_reconnect, double slow_ms = 0.0,
@@ -702,8 +685,9 @@ TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
     common::FaultInjector::Instance().Arm(spec);
   }
   executor::ExecutorOptions opts;
-  opts.attach = socket_path;
-  opts.endpoint = endpoint;
+  // The endpoint is auto-detected: socket paths attach over mux, shm names
+  // to the segment.
+  opts.attach = attach;
   opts.replica = replica;
   opts.iterations = iterations;
   opts.slow_ms = slow_ms;
@@ -736,8 +720,8 @@ bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
 }
 
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
-// fault point — a real crash, no unwind, no goodbye. The dedicated liveness
-// stream it held drops uncleanly, so with connection grace 0 the monitor
+// fault point — a real crash, no unwind, no goodbye. The persistent mux
+// stream it attached on drops uncleanly, so with connection grace 0 the monitor
 // declares it dead immediately; the recovery coordinator moves its one
 // unfetched plan (iteration 2) to a survivor at a spare iteration number,
 // and the open-ended survivors — parked polling past their own epoch —
@@ -763,8 +747,8 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocket, r,
-                    expected, r == kVictim ? "crash@1" : nullptr,
+      RunFaultChild(socket_path, r, expected,
+                    r == kVictim ? "crash@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false);
     }
     children.push_back(child);
@@ -850,8 +834,8 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, r == kVictim ? "stall:1500@1" : nullptr,
+      RunFaultChild(socket_path, r, expected,
+                    r == kVictim ? "stall:1500@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false);
     }
     children.push_back(child);
@@ -928,8 +912,8 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, r == kVictim ? "corrupt@2" : nullptr,
+      RunFaultChild(socket_path, r, expected,
+                    r == kVictim ? "corrupt@2" : nullptr,
                     /*iterations=*/kIterations,
                     /*require_reconnect=*/r == kVictim);
     }
@@ -1005,8 +989,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
       // The second victim is paced so the first death's recovery publishes
       // the inherited spare well before this replica reaches its own crash
       // point — the spare must demonstrably be resident when it dies.
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocket, r,
-                    expected, fault, /*iterations=*/-1,
+      RunFaultChild(socket_path, r, expected, fault, /*iterations=*/-1,
                     /*require_reconnect=*/false,
                     /*slow_ms=*/r == kSecondVictim ? 150.0 : 0.0);
     }
@@ -1193,8 +1176,8 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
       // past their own epoch. The idle timeout is the exit condition — it
       // must outlast the park between a fast replica draining its epoch
       // (~360 ms) and the migration landing (after the 1200 ms stall).
-      RunFaultChild(shm_name, executor::AttachEndpoint::kSharedMemory, r,
-                    expected, r == kVictim ? "stall:1200@1" : nullptr,
+      RunFaultChild(shm_name, r, expected,
+                    r == kVictim ? "stall:1200@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false,
                     /*slow_ms=*/kPaceMs, /*idle_timeout_ms=*/5'000);
     }
