@@ -212,7 +212,7 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
     service::HeartbeatMonitor monitor;
     service::RecoveryOptions ropts;
     ropts.replicas = {0, 1, 2};
-    ropts.spare_iteration_base = backlog;
+    ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(backlog);
     service::RecoveryCoordinator recovery(&store, &monitor, ropts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);

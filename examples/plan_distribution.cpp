@@ -2,8 +2,9 @@
 // execution plans; a fork()ed executor process fetches and decodes the
 // instruction streams — twice, over the two distribution paths:
 //
-//   1. the wire: InstructionStoreServer over a Unix domain socket, fetched
-//      with MuxInstructionStore (serialized plan bytes cross the socket);
+//   1. the wire: a ControlPlane serving its store over a Unix domain
+//      socket, fetched with MuxInstructionStore (serialized plan bytes
+//      cross the socket);
 //   2. shared memory: the planner creates a named ShmInstructionStore
 //      segment, the executor *attaches by name* (shm_open + mmap) and pulls
 //      zero-copy views of the very bytes the planner wrote — no wire, no
@@ -42,14 +43,12 @@
 #include "src/data/flan_generator.h"
 #include "src/data/minibatch_sampler.h"
 #include "src/executor/executor.h"
-#include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
+#include "src/transport/control_plane.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 namespace {
 
@@ -226,9 +225,7 @@ int main() {
   // --- Phase 1: the socket wire. The server comes up in the parent *after*
   // the fork (the child inherits no threads); the executor's connect retries
   // until it is listening.
-  std::optional<runtime::InstructionStore> store;
-  std::optional<transport::UnixSocketTransport> transport_ep;
-  std::optional<transport::InstructionStoreServer> server;
+  std::optional<transport::ControlPlane> plane;
   const bool socket_ok = RunPhase(
       "unix socket", plans,
       /*fetch=*/
@@ -243,18 +240,19 @@ int main() {
       },
       /*publish=*/
       [&] {
-        store.emplace(runtime::InstructionStoreOptions{/*serialized=*/true,
-                                                       /*capacity=*/0});
-        transport_ep.emplace(socket_path);
-        server.emplace(&*transport_ep, &*store);
+        transport::ControlPlaneOptions cp_opts;
+        cp_opts.endpoint = socket_path;
+        plane.emplace(cp_opts);
+        const auto store = plane->store();
         for (size_t i = 0; i < plans.size(); ++i) {
           store->Push(static_cast<int64_t>(i), /*replica=*/0, plans[i]);
         }
+        plane->Start();
         std::printf("[planner] serving %lld encoded bytes on %s\n",
                     static_cast<long long>(store->serialized_bytes_total()),
                     socket_path.c_str());
       },
-      /*planner_cleanup=*/[&] { server->Stop(); });
+      /*planner_cleanup=*/[&] { plane.reset(); });
 
   // --- Phase 2: shared memory. No server, no wire: the planner creates a
   // named segment, the executor attaches by that name and decodes zero-copy
@@ -314,19 +312,17 @@ int main() {
     executors.push_back(pid);
   }
 
-  service::HeartbeatMonitor monitor(service::HeartbeatMonitorOptions{
-      /*straggler_multiple=*/2.0, /*min_straggler_gap_ms=*/25.0});
-  runtime::InstructionStore daemon_store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  daemon_store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport daemon_transport(daemon_socket);
-  transport::InstructionStoreServer daemon_server(&daemon_transport,
-                                                  &daemon_store);
+  transport::ControlPlaneOptions cp_opts;
+  cp_opts.endpoint = daemon_socket;
+  cp_opts.monitor.straggler_multiple = 2.0;
+  cp_opts.monitor.min_straggler_gap_ms = 25.0;
+  transport::ControlPlane daemon_plane(cp_opts);
   for (size_t i = 0; i < plans.size(); ++i) {
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
-      daemon_store.Push(static_cast<int64_t>(i), replica, plans[i]);
+      daemon_plane.store()->Push(static_cast<int64_t>(i), replica, plans[i]);
     }
   }
+  daemon_plane.Start();
   std::printf("[planner] executor daemons: %d replicas attached to %s, "
               "replica %d slowed %.0f ms/iter\n",
               kReplicas, daemon_socket.c_str(), kSlowReplica, kSlowMs);
@@ -341,7 +337,7 @@ int main() {
   std::printf("  iter | replicas | median ms | max ms | straggler\n");
   for (size_t i = 0; i < plans.size(); ++i) {
     const service::IterationHeartbeatStats stats =
-        monitor.ForIteration(static_cast<int64_t>(i));
+        daemon_plane.monitor().ForIteration(static_cast<int64_t>(i));
     daemons_ok = daemons_ok && stats.replicas_reported == kReplicas &&
                  stats.stragglers == std::vector<int32_t>{kSlowReplica};
     std::printf("  %4zu | %8d | %9.2f | %6.2f | %s\n", i,
@@ -351,7 +347,6 @@ int main() {
                     ? "replica 2 (expected)"
                     : "WRONG ATTRIBUTION");
   }
-  daemon_server.Stop();
   std::printf("[planner] executor phase %s\n\n",
               daemons_ok ? "ok" : "FAILED");
 

@@ -1,11 +1,9 @@
 #include "src/runtime/trainer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include <unistd.h>
 
@@ -16,16 +14,11 @@
 #include "src/common/trace.h"
 #include "src/runtime/ground_truth.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_ahead_service.h"
 #include "src/service/plan_cache.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
 #include "src/sim/cluster_sim.h"
+#include "src/transport/control_plane.h"
 #include "src/transport/mux.h"
-#include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 namespace dynapipe::runtime {
 namespace {
@@ -214,10 +207,9 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sim_opts.memory_limit_mb = hw_.usable_memory_mb();
 
   // Replica completion tracking: the trainer reports each in-process
-  // replica's simulated makespan, and — on the socket backends — attached
-  // executor processes heartbeat their wall clock through the store server
-  // into the same monitor. Declared before the server below so heartbeats
-  // arriving during teardown still have a live sink.
+  // replica's simulated makespan, and — on the cross-process backends —
+  // attached executor processes report through the control plane below
+  // into the same monitor.
   service::HeartbeatMonitorOptions monitor_opts;
   monitor_opts.straggler_multiple = options.straggler_multiple;
   monitor_opts.min_straggler_gap_ms = options.straggler_min_gap_ms;
@@ -229,7 +221,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   // against a partial report set (an absent replica used to make the rest
   // look fast — or slow — depending on who was missing).
   monitor_opts.expected_replicas = parallel_.dp;
-  service::HeartbeatMonitor heartbeat_monitor(monitor_opts);
 
   // Everything between the sampler and the executors is the plan-ahead
   // service's pipeline: lookahead planning on the shared pool, the
@@ -250,169 +241,68 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sopts.fold_target_lengths = config_.arch == model::ModelArch::kGpt;
   sopts.serialize_plans = options.serialize_plans;
   sopts.store_capacity = options.instruction_store_capacity;
-  // Socket backend: host the server side of the wire (store + listener) and
-  // hand the service a client on one persistent multiplexed connection.
-  // Declared before `service` below so the server outlives it — the service's
-  // shutdown still round-trips through the socket. The publisher's deferral
-  // logic needs store_capacity to mirror the server store's bound, which it
-  // does by construction here. The shared-memory backend needs no server at
-  // all: the segment is the store, and an executor process could attach to it
-  // by name.
-  std::optional<InstructionStore> server_store;
-  std::optional<transport::UnixSocketTransport> socket_transport;
-  std::optional<transport::InstructionStoreServer> store_server;
-  // Kept alongside sopts.store on the shm path: the coordinators and the
-  // heartbeat poller need the concrete segment handle, not the interface.
-  std::shared_ptr<transport::ShmInstructionStore> shm_store;
-  // Declared after the monitor and store it points at, so it unregisters
-  // from the monitor (dtor) before either dies.
-  std::optional<service::RecoveryCoordinator> recovery;
-  // Declared after recovery: both move plans at spare keys from one shared
-  // allocator, and teardown must unhook the straggler callback while the
-  // monitor is still alive.
-  std::optional<service::RebalanceCoordinator> rebalance;
-  // Declared after recovery (it registers as recovery's downstream event tap
-  // and must unregister while recovery is alive); shares the spare-key
-  // allocator with both coordinators above.
-  std::optional<service::MembershipCoordinator> membership;
-  // Last, so it stops feeding the monitor before any of the above dies.
-  std::optional<transport::ShmHeartbeatPoller> shm_poller;
-  // One spare-key space shared by recovery and rebalance — two coordinators
-  // moving plans into the same store must never pick colliding destinations.
-  const int64_t spare_base = options.max_iterations > 0
-                                 ? options.max_iterations
-                                 : (int64_t{1} << 32);
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(spare_base);
-  auto all_replicas = [&] {
-    std::vector<int32_t> replicas;
-    for (int32_t d = 0; d < parallel_.dp; ++d) {
-      replicas.push_back(d);
-    }
-    return replicas;
-  };
-  // Rebalancing moves *unfetched* plans between replicas, but this trainer
-  // fetches every in-process replica's plan by exact (iteration, replica)
-  // key — so all of them are immovable and nothing migrates during its own
-  // epochs. The wiring still runs the policy (streaks, hysteresis, report)
-  // so the knobs and EpochResult fields are live; the full migration path is
-  // the cross-process store (standalone publisher + attached executors).
-  auto wire_rebalance = [&](runtime::InstructionStoreInterface* store) {
-    if (!options.rebalance_stragglers) {
-      return;
-    }
-    service::RebalanceOptions bopts;
-    bopts.consecutive_flags = options.rebalance_consecutive_flags;
-    bopts.max_moves_per_event = options.rebalance_max_moves;
-    bopts.hysteresis_iterations = options.rebalance_hysteresis_iterations;
-    bopts.replicas = all_replicas();
-    bopts.immovable_replicas = all_replicas();
-    bopts.spare_keys = spare_keys;
-    rebalance.emplace(store, &heartbeat_monitor, bopts);
-  };
-  // Elastic membership rides downstream of recovery; the in-process replicas
-  // are immovable for the same reason they are for rebalance (this trainer
-  // fetches its own plans by exact key, so a joiner must not steal them).
-  auto wire_membership = [&](runtime::InstructionStoreInterface* store,
-                             std::function<void(int32_t)> drain_ack) {
-    if (!options.elastic_membership) {
-      return;
-    }
-    service::MembershipOptions mopts;
-    mopts.initial_replicas = all_replicas();
-    mopts.immovable_replicas = all_replicas();
-    mopts.spare_keys = spare_keys;
-    mopts.join_steal_max = options.membership_join_steal_max;
-    mopts.drain_ack = std::move(drain_ack);
-    membership.emplace(store, &heartbeat_monitor, &*recovery, mopts);
-  };
+  // The cross-process backends run a control plane: it hosts the store (the
+  // server side of the mux wire, or the shm segment), owns the monitor,
+  // feeds it from attached executors, and reposts a dead executor's
+  // unfetched plans. Declared before `service` below so the server outlives
+  // it — the service's shutdown still round-trips through the socket.
+  std::optional<service::HeartbeatMonitor> local_monitor;
+  std::optional<transport::ControlPlane> control_plane;
   if (options.plan_store_backend ==
-      TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
-    server_store.emplace(InstructionStoreOptions{
-        /*serialized=*/true, options.instruction_store_capacity});
-    socket_transport.emplace(options.plan_store_socket_path.empty()
-                                 ? DeriveSocketPath()
-                                 : options.plan_store_socket_path);
-    // kHeartbeat frames from any attached reporter route through the server
-    // store's sink into the same monitor the in-process replicas feed.
-    server_store->set_heartbeat_sink(&heartbeat_monitor);
-    // React to declared deaths: move the dead replica's unfetched plans to
-    // survivors and record the recovery. The coordinator itself always
-    // degrades — fail-fast's store shutdown is for a publisher parked in
-    // Push backpressure, and would race this trainer's own fetches (it
-    // consumes its replicas' plans in-process). options.failure_policy is
-    // applied by the epoch loop below instead.
-    service::RecoveryOptions ropts;
-    ropts.policy = service::FailurePolicy::kDegradeAndContinue;
-    ropts.replicas = all_replicas();
-    // In-process replicas cannot die (no wire), so reposts are expected only
-    // from attached external replicas — which publish nothing here. The
-    // shared base still clears every iteration this epoch could publish.
-    ropts.spare_keys = spare_keys;
-    // Subscribe the coordinator BEFORE the server starts serving: the socket
-    // is already bound (transport ctor), so an executor can attach and die in
-    // the window between the first served frame and a later subscription —
-    // that death event would fire into a null callback and be lost.
-    recovery.emplace(&*server_store, &heartbeat_monitor, ropts);
-    wire_rebalance(&*server_store);
-    // Before the server serves: a joiner attaching in the startup window
-    // must land on a live membership subscription. Over the wire the
-    // server's kDrainAck reply is the drain acknowledgement (the event chain
-    // runs synchronously inside the drain-request handler), so no ack hook.
-    wire_membership(&*server_store, nullptr);
-    store_server.emplace(&*socket_transport, &*server_store);
-    sopts.store = transport::MuxInstructionStore::OverUnixSocket(
-        socket_transport->path());
-  } else if (options.plan_store_backend ==
-             TrainerOptions::PlanStoreBackend::kSharedMemory) {
-    transport::ShmStoreOptions shm_opts;
-    shm_opts.capacity = options.instruction_store_capacity;
-    shm_store = transport::ShmInstructionStore::Create(
-        options.plan_store_shm_name.empty() ? DeriveShmName()
-                                            : options.plan_store_shm_name,
-        shm_opts);
-    sopts.store = shm_store;
-    // The segment is the store, so recovery acts on it directly — no server
-    // in between. Liveness arrives through the segment too: attached
-    // executors stamp their heartbeat slot in shared memory, and the poller
-    // replays those beats into this monitor as if they came over a wire.
-    service::RecoveryOptions ropts;
-    ropts.policy = service::FailurePolicy::kDegradeAndContinue;
-    ropts.replicas = all_replicas();
-    ropts.spare_keys = spare_keys;
-    recovery.emplace(shm_store.get(), &heartbeat_monitor, ropts);
-    wire_rebalance(shm_store.get());
-    // Shm drains acknowledge through the segment: the coordinator flips the
-    // leaver's slot drain word once the handoff is done.
-    wire_membership(shm_store.get(),
-                    [raw = shm_store.get()](int32_t replica) {
-                      raw->AcknowledgeDrain(replica);
-                    });
-    shm_poller.emplace(shm_store, &heartbeat_monitor);
-  }
-  // Fleet barrier: the server is accepting (or the segment exists), so
-  // executors can attach now; hold the epoch (nothing published yet) until
-  // enough have. In-process replicas report nothing before iteration 0, so
-  // every replica the monitor knows at this point came over the wire or
-  // through the segment.
-  if (options.liveness_await_replicas > 0 &&
-      options.plan_store_backend !=
-          TrainerOptions::PlanStoreBackend::kInProcess) {
-    const auto barrier_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration<double, std::milli>(
-            options.liveness_await_timeout_ms);
-    while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-           options.liveness_await_replicas) {
-      if (std::chrono::steady_clock::now() >= barrier_deadline) {
-        result.feasible = false;
-        result.failure = "timed out waiting for " +
-                         std::to_string(options.liveness_await_replicas) +
-                         " replicas to attach";
-        return result;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      TrainerOptions::PlanStoreBackend::kInProcess) {
+    local_monitor.emplace(monitor_opts);
+  } else {
+    const bool mux = options.plan_store_backend ==
+                     TrainerOptions::PlanStoreBackend::kUnixSocketMux;
+    transport::ControlPlaneOptions cp_opts;
+    cp_opts.backend =
+        mux ? transport::ControlPlaneOptions::Backend::kUnixSocketMux
+            : transport::ControlPlaneOptions::Backend::kSharedMemory;
+    cp_opts.endpoint =
+        mux ? options.plan_store_socket_path : options.plan_store_shm_name;
+    if (cp_opts.endpoint.empty()) {
+      cp_opts.endpoint = mux ? DeriveSocketPath() : DeriveShmName();
+    }
+    cp_opts.store_capacity = options.instruction_store_capacity;
+    cp_opts.monitor = monitor_opts;
+    for (int32_t d = 0; d < parallel_.dp; ++d) {
+      cp_opts.fleet.push_back(d);
+    }
+    // Clears every iteration this epoch could publish.
+    cp_opts.spare_base = options.max_iterations > 0 ? options.max_iterations
+                                                    : (int64_t{1} << 32);
+    // The coordinator itself always degrades: fail-fast's store shutdown is
+    // for a publisher parked in Push backpressure, and would race this
+    // trainer's own fetches. options.failure_policy is applied by the epoch
+    // loop below instead.
+    cp_opts.recovery.emplace();
+    control_plane.emplace(cp_opts);
+    control_plane->Start();
+    // The service publishes through a mux client on one persistent
+    // connection (the full wire path), or straight into the segment. The
+    // publisher's deferral logic needs store_capacity to mirror the
+    // backend's bound, which it does by construction here.
+    if (mux) {
+      sopts.store = transport::MuxInstructionStore::OverUnixSocket(
+          cp_opts.endpoint);
+    } else {
+      sopts.store = control_plane->store();
+    }
+    // Fleet barrier: executors can attach now; hold the epoch (nothing
+    // published yet) until enough have. In-process replicas report nothing
+    // before iteration 0, so every replica the monitor knows at this point
+    // came over the wire or through the segment.
+    if (!control_plane->AwaitReplicas(options.liveness_await_replicas,
+                                      options.liveness_await_timeout_ms)) {
+      result.feasible = false;
+      result.failure = "timed out waiting for " +
+                       std::to_string(options.liveness_await_replicas) +
+                       " replicas to attach";
+      return result;
     }
   }
+  service::HeartbeatMonitor& heartbeat_monitor =
+      control_plane.has_value() ? control_plane->monitor() : *local_monitor;
   if (allow_plan_cache && options.plan_cache) {
     if (plan_cache_ == nullptr) {
       plan_cache_ = std::make_shared<service::PlanCache>(service::PlanCacheOptions{
@@ -444,30 +334,16 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     result.plan_cache_hits = sstats.plan_cache_hits;
     result.plan_cache_misses = sstats.plan_cache_misses;
     result.serialized_plan_bytes = sstats.published_bytes;
-    if (recovery.has_value()) {
-      const service::RecoveryReport rreport = recovery->report();
+    if (control_plane.has_value()) {
+      const service::RecoveryReport rreport = control_plane->report().recovery;
       result.dead_replicas = rreport.dead_replicas;
       result.replanned_iterations = rreport.replanned_iterations;
       result.recovery_ms = rreport.recovery_ms;
-    }
-    if (rebalance.has_value()) {
-      const service::RebalanceReport breport = rebalance->report();
-      result.rebalance_events = breport.events;
-      result.rebalanced_iterations = breport.moved_iterations;
-    }
-    if (membership.has_value()) {
-      const service::MembershipReport mreport = membership->report();
-      result.joined_replicas = mreport.joined;
-      result.drained_replicas = mreport.drained;
-      result.join_stolen_iterations = mreport.join_stolen_iterations;
-      result.drain_reposted_iterations = mreport.drain_reposted_iterations;
-    }
-    if (store_server.has_value()) {
       // Pull each stats-capable attached executor's process-wide snapshot
-      // over its own connection. Bounded: an executor that died mid-epoch
-      // just contributes nothing.
+      // over its own connection (mux only). Bounded: an executor that died
+      // mid-epoch just contributes nothing.
       for (transport::RemoteReplicaStats& stats :
-           store_server->CollectRemoteStats(/*timeout_ms=*/200)) {
+           control_plane->CollectRemoteStats(/*timeout_ms=*/200)) {
         ExecutorMetrics metrics;
         metrics.replicas = std::move(stats.replicas);
         metrics.snapshot = std::move(stats.snapshot);
@@ -488,9 +364,10 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     // coordinator's report, not the monitor: the monitor's state flips
     // before the event callback lands, and the report only shows a death
     // once the coordinator has fully processed it.
-    if (recovery.has_value() &&
+    if (control_plane.has_value() &&
         options.failure_policy == service::FailurePolicy::kFailFast) {
-      const std::vector<int32_t> dead = recovery->report().dead_replicas;
+      const std::vector<int32_t> dead =
+          control_plane->report().recovery.dead_replicas;
       if (!dead.empty()) {
         result.feasible = false;
         result.failure = "replica " + std::to_string(dead.front()) +
@@ -537,10 +414,12 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
       const sim::ExecutionPlan exec =
           service.FetchExecPlan(iteration, static_cast<int32_t>(d));
       sim::ClusterSim cluster(parallel_.pp, &ground_truth, sim_opts);
-      std::optional<common::TraceSpan> exec_span;
-      exec_span.emplace("executed", "plan", iteration, static_cast<int32_t>(d));
-      const sim::SimResult res = cluster.Run(exec);
-      exec_span.reset();
+      sim::SimResult res;
+      {
+        common::TraceSpan exec_span("executed", "plan", iteration,
+                                    static_cast<int32_t>(d));
+        res = cluster.Run(exec);
+      }
       if (res.deadlocked) {
         ++result.deadlocks;
         result.feasible = false;
@@ -578,11 +457,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.replica_median_ms = hb_stats.median_wall_ms;
     record.replica_max_ms = hb_stats.max_wall_ms;
     record.straggler_replicas = hb_stats.stragglers;
-    if (recovery.has_value()) {
+    if (control_plane.has_value()) {
       record.dead_replicas = heartbeat_monitor.DeadReplicas();
-    }
-    if (rebalance.has_value()) {
-      record.rebalanced_replicas = rebalance->report().rebalanced_replicas;
     }
     result.straggler_flags +=
         static_cast<int64_t>(record.straggler_replicas.size());

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 
 namespace dynapipe::service {
-
-namespace {
-bool Contains(const std::vector<int32_t>& v, int32_t x) {
-  return std::find(v.begin(), v.end(), x) != v.end();
-}
-}  // namespace
 
 MembershipCoordinator::MembershipCoordinator(
     runtime::InstructionStoreInterface* store, HeartbeatMonitor* monitor,
@@ -21,10 +16,7 @@ MembershipCoordinator::MembershipCoordinator(
       monitor_(monitor),
       recovery_(recovery),
       options_(std::move(options)) {
-  spare_keys_ = options_.spare_keys != nullptr
-                    ? options_.spare_keys
-                    : std::make_shared<SpareKeyAllocator>(
-                          options_.spare_iteration_base);
+  DYNAPIPE_CHECK(options_.spare_keys != nullptr);
   members_.insert(options_.initial_replicas.begin(),
                   options_.initial_replicas.end());
   recovery_->set_downstream(
@@ -90,14 +82,13 @@ void MembershipCoordinator::OnEvent(const ReplicaEvent& event) {
               "membership_joins_total");
       joins.Add();
 
-      // Donor: the member with the deepest unfetched backlog that is alive,
-      // movable, and not mid-drain.
+      // Donor: the member with the deepest unfetched backlog that is alive
+      // and not mid-drain.
       int32_t donor = -1;
       std::vector<int64_t> donor_pending;
       for (const int32_t member : members_) {
         if (member == event.replica || dead_.count(member) != 0 ||
             draining_.count(member) != 0 ||
-            Contains(options_.immovable_replicas, member) ||
             store_->IsReplicaFenced(member)) {
           continue;
         }
@@ -123,7 +114,8 @@ void MembershipCoordinator::OnEvent(const ReplicaEvent& event) {
         // Burn-on-allocation: a taken key advances, a vanished source means
         // the donor fetched it after all.
         for (int attempt = 0; attempt < 16; ++attempt) {
-          const int64_t dst_iteration = spare_keys_->Next(event.replica);
+          const int64_t dst_iteration =
+              options_.spare_keys->Next(event.replica);
           const runtime::RepostOutcome outcome =
               store_->Repost(*it, donor, dst_iteration, event.replica);
           if (outcome == runtime::RepostOutcome::kDestinationTaken) {
@@ -134,7 +126,7 @@ void MembershipCoordinator::OnEvent(const ReplicaEvent& event) {
             // The donor's poll loop stops at its first missing key, so hand
             // the vacated key back for reuse: a later repost to the donor
             // fills the gap instead of stranding a plan beyond it.
-            spare_keys_->Release(donor, *it);
+            options_.spare_keys->Release(donor, *it);
           }
           break;
         }
@@ -172,7 +164,7 @@ void MembershipCoordinator::OnEvent(const ReplicaEvent& event) {
           const int32_t survivor = survivors[next_survivor];
           next_survivor = (next_survivor + 1) % survivors.size();
           for (int attempt = 0; attempt < 16; ++attempt) {
-            const int64_t dst_iteration = spare_keys_->Next(survivor);
+            const int64_t dst_iteration = options_.spare_keys->Next(survivor);
             const runtime::RepostOutcome outcome = store_->Repost(
                 iteration, event.replica, dst_iteration, survivor);
             if (outcome == runtime::RepostOutcome::kDestinationTaken) {

@@ -55,18 +55,13 @@ struct MembershipOptions {
   // The fleet configured at epoch start; replicas outside this set that turn
   // alive are joiners.
   std::vector<int32_t> initial_replicas;
-  // First spare iteration key when no shared allocator is passed — normally
-  // the epoch's iteration count (where open-ended executors poll).
-  int64_t spare_iteration_base = 0;
-  // Spare-key source shared with recovery and rebalance so destination keys
-  // never collide. Leave null to create a private one (tests).
+  // Spare-key source (required), shared with recovery and rebalance so
+  // destination keys never collide. Its base is normally the epoch's
+  // iteration count (where open-ended executors poll).
   std::shared_ptr<SpareKeyAllocator> spare_keys;
   // Cap on backlog stolen for one joiner; 0 = the fair share
   // (donor backlog / new fleet size) with no cap.
   int32_t join_steal_max = 0;
-  // Replicas whose backlog must never be stolen for a joiner (pipeline
-  // anchors, same meaning as RebalanceOptions::immovable_replicas).
-  std::vector<int32_t> immovable_replicas;
   // Backend acknowledgement for a completed drain handoff. The shm path
   // passes ShmInstructionStore::AcknowledgeDrain; the wire path leaves it
   // null because the server's kDrainAck reply (sent after the synchronous
@@ -74,7 +69,7 @@ struct MembershipOptions {
   std::function<void(int32_t)> drain_ack;
 };
 
-// What membership has done so far; folded into EpochResult by the trainer.
+// What membership has done so far.
 struct MembershipReport {
   std::vector<int32_t> joined;   // admission order
   std::vector<int32_t> drained;  // acknowledgement order
@@ -112,7 +107,6 @@ class MembershipCoordinator {
   HeartbeatMonitor* monitor_;
   RecoveryCoordinator* recovery_;
   MembershipOptions options_;
-  std::shared_ptr<SpareKeyAllocator> spare_keys_;
 
   mutable std::mutex mu_;
   std::set<int32_t> members_;   // admitted fleet (initial + joiners)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 
@@ -18,10 +19,7 @@ RebalanceCoordinator::RebalanceCoordinator(
     runtime::InstructionStoreInterface* store, HeartbeatMonitor* monitor,
     RebalanceOptions options)
     : store_(store), monitor_(monitor), options_(std::move(options)) {
-  spare_keys_ = options_.spare_keys != nullptr
-                    ? options_.spare_keys
-                    : std::make_shared<SpareKeyAllocator>(
-                          options_.spare_iteration_base);
+  DYNAPIPE_CHECK(options_.spare_keys != nullptr);
   monitor_->set_straggler_callback(
       [this](const IterationHeartbeatStats& stats) {
         OnIterationComplete(stats);
@@ -54,8 +52,7 @@ void RebalanceCoordinator::OnIterationComplete(
   }
 
   for (const int32_t slow : stats.stragglers) {
-    if (!Contains(options_.replicas, slow) ||
-        Contains(options_.immovable_replicas, slow)) {
+    if (!Contains(options_.replicas, slow)) {
       continue;
     }
     if (consecutive_[slow] < options_.consecutive_flags) {
@@ -69,14 +66,13 @@ void RebalanceCoordinator::OnIterationComplete(
     if (monitor_->Liveness(slow) == ReplicaLiveness::kDead) {
       continue;  // recovery's problem now, not rebalance's
     }
-    // Fast replicas: configured, kept pace this iteration, not dead, not
-    // fenced mid-drain, and not exempt from taking work. (A drain landing
-    // after this snapshot is still safe: the store-level fence answers the
-    // Repost with kDestinationTaken and the key chain retries.)
+    // Fast replicas: configured, kept pace this iteration, not dead, and
+    // not fenced mid-drain. (A drain landing after this snapshot is still
+    // safe: the store-level fence answers the Repost with kDestinationTaken
+    // and the key chain retries.)
     std::vector<int32_t> destinations;
     for (const int32_t replica : options_.replicas) {
       if (replica == slow || Contains(stats.stragglers, replica) ||
-          Contains(options_.immovable_replicas, replica) ||
           monitor_->Liveness(replica) == ReplicaLiveness::kDead ||
           store_->IsReplicaFenced(replica)) {
         continue;
@@ -84,7 +80,7 @@ void RebalanceCoordinator::OnIterationComplete(
       destinations.push_back(replica);
     }
     if (destinations.empty()) {
-      continue;  // everyone else is slow, dead, or pinned — nothing to do
+      continue;  // everyone else is slow, dead, or fenced — nothing to do
     }
     // Steal from the *tail* of the backlog: the slow replica keeps the
     // iterations it reaches next (its fetch may already be in flight), and
@@ -99,7 +95,7 @@ void RebalanceCoordinator::OnIterationComplete(
       // Same burn-on-allocation discipline as recovery: a taken key advances,
       // a vanished source means the slow replica fetched it after all.
       for (int attempt = 0; attempt < 16; ++attempt) {
-        const int64_t dst_iteration = spare_keys_->Next(destination);
+        const int64_t dst_iteration = options_.spare_keys->Next(destination);
         const runtime::RepostOutcome outcome =
             store_->Repost(*it, slow, dst_iteration, destination);
         if (outcome == runtime::RepostOutcome::kDestinationTaken) {
@@ -112,7 +108,7 @@ void RebalanceCoordinator::OnIterationComplete(
           // The straggler is alive and still polling in key order: release
           // the vacated key so any later repost to it fills the gap rather
           // than landing beyond a hole it will never cross.
-          spare_keys_->Release(slow, *it);
+          options_.spare_keys->Release(slow, *it);
           static common::Counter& moved_total =
               common::MetricsRegistry::Instance().GetCounter(
                   "rebalance_moved_total");
@@ -124,8 +120,8 @@ void RebalanceCoordinator::OnIterationComplete(
     if (moved > 0) {
       ++report_.events;
       report_.moved_iterations += moved;
-      if (!Contains(report_.rebalanced_replicas, slow)) {
-        report_.rebalanced_replicas.push_back(slow);
+      if (!Contains(report_.sources, slow)) {
+        report_.sources.push_back(slow);
       }
       cooldown_until_[slow] =
           stats.iteration + options_.hysteresis_iterations;

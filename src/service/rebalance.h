@@ -21,15 +21,12 @@
 //     many iterations — time for the lighter backlog to show up in its wall
 //     times before it can be flagged again.
 //
-// Destinations are the configured replicas that are neither straggling on
-// the triggering iteration, nor declared dead, nor immovable. Immovable
-// replicas are excluded on both sides: the trainer lists its in-process
-// replicas there, because it fetches its own plans by exact (iteration,
-// replica) key — moving work off or onto them would break that contract.
+// Destinations are the configured replicas that neither straggled on the
+// triggering iteration, nor are declared dead, nor are fenced mid-drain.
 //
 // Thread-safe: the straggler callback arrives from whatever thread delivered
-// the completing heartbeat (a server connection handler, the shm poller, or
-// the trainer loop). Construct after the monitor, destroy first — the
+// the completing heartbeat (a server connection handler or the shm
+// poller). Construct after the monitor, destroy first — the
 // destructor unregisters the callback and drains in-flight deliveries.
 #ifndef DYNAPIPE_SRC_SERVICE_REBALANCE_H_
 #define DYNAPIPE_SRC_SERVICE_REBALANCE_H_
@@ -55,22 +52,17 @@ struct RebalanceOptions {
   int64_t hysteresis_iterations = 4;
   // The replica set rebalancing may move work between.
   std::vector<int32_t> replicas;
-  // Replicas whose backlog must stay put and who take no migrated work (the
-  // trainer's in-process replicas — see the header comment).
-  std::vector<int32_t> immovable_replicas;
-  // Spare-key source; share one with the RecoveryCoordinator when both move
-  // plans into the same store. Null = private allocator from
-  // spare_iteration_base.
+  // Spare-key source (required), shared with the RecoveryCoordinator and
+  // MembershipCoordinator moving plans into the same store.
   std::shared_ptr<SpareKeyAllocator> spare_keys;
-  int64_t spare_iteration_base = 0;
 };
 
-// What rebalancing has done so far; folded into EpochResult by the trainer.
+// What rebalancing has done so far.
 struct RebalanceReport {
   int64_t events = 0;            // triggers that actually moved >= 1 plan
   int64_t moved_iterations = 0;  // plans migrated in total
   // Replicas that shed work, in first-trigger order (no duplicates).
-  std::vector<int32_t> rebalanced_replicas;
+  std::vector<int32_t> sources;
 };
 
 class RebalanceCoordinator {
@@ -94,7 +86,6 @@ class RebalanceCoordinator {
   runtime::InstructionStoreInterface* store_;
   HeartbeatMonitor* monitor_;
   RebalanceOptions options_;
-  std::shared_ptr<SpareKeyAllocator> spare_keys_;
 
   mutable std::mutex mu_;
   RebalanceReport report_;                     // guarded by mu_

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/metrics.h"
 
 namespace dynapipe::service {
@@ -12,10 +13,7 @@ RecoveryCoordinator::RecoveryCoordinator(
     runtime::InstructionStoreInterface* store, HeartbeatMonitor* monitor,
     RecoveryOptions options)
     : store_(store), monitor_(monitor), options_(std::move(options)) {
-  spare_keys_ = options_.spare_keys != nullptr
-                    ? options_.spare_keys
-                    : std::make_shared<SpareKeyAllocator>(
-                          options_.spare_iteration_base);
+  DYNAPIPE_CHECK(options_.spare_keys != nullptr);
   monitor_->set_event_callback(
       [this](const ReplicaEvent& event) { OnEvent(event); });
 }
@@ -87,7 +85,7 @@ void RecoveryCoordinator::OnEvent(const ReplicaEvent& event) {
           // Collapsing the two failure modes used to wedge the survivor's
           // counter on a taken key and silently lose every later repost.
           for (int attempt = 0; attempt < 16; ++attempt) {
-            const int64_t dst_iteration = spare_keys_->Next(survivor);
+            const int64_t dst_iteration = options_.spare_keys->Next(survivor);
             const runtime::RepostOutcome outcome = store_->Repost(
                 iteration, event.replica, dst_iteration, survivor);
             if (outcome == runtime::RepostOutcome::kDestinationTaken) {

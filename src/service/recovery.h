@@ -9,10 +9,11 @@
 //   2. move each resident plan to a surviving replica, round-robin, at a
 //      *spare* iteration number (store-level Repost — plans are byte-stable
 //      and keyed by (iteration, replica), so re-publish is a key move, no
-//      re-plan, no re-encode). Spare numbers start at
-//      `spare_iteration_base` (the epoch's iteration count) and grow per
-//      survivor, because an open-ended executor that drained its own epoch
-//      keeps polling exactly there — the reposted work is what it finds;
+//      re-plan, no re-encode). Spare numbers come from the shared
+//      SpareKeyAllocator, whose base is the epoch's iteration count and
+//      which grows per survivor, because an open-ended executor that
+//      drained its own epoch keeps polling exactly there — the reposted
+//      work is what it finds;
 //   3. record the recovery (dead replicas, replanned iteration count,
 //      detect-to-repost wall ms) for IterationRecord/EpochResult.
 //
@@ -107,14 +108,11 @@ struct RecoveryOptions {
   // death outside this set (an unknown attacher) is recorded but moves no
   // plans — there is nothing published under its id.
   std::vector<int32_t> replicas;
-  // First iteration number free for reposted plans on every survivor —
-  // normally the epoch's iteration count, so reposts land exactly where an
-  // open-ended executor polls after draining its own share.
-  int64_t spare_iteration_base = 0;
-  // Spare-key source. Leave null to let the coordinator create its own from
-  // spare_iteration_base; pass a shared one when a RebalanceCoordinator
-  // moves plans into the same store, so the two can never pick colliding
-  // destination keys.
+  // Spare-key source (required). Its base is the first iteration number
+  // free on every survivor — normally the epoch's iteration count, so
+  // reposts land exactly where an open-ended executor polls after draining
+  // its own share. Shared with every other coordinator moving plans into
+  // the same store, so they can never pick colliding destination keys.
   std::shared_ptr<SpareKeyAllocator> spare_keys;
 };
 
@@ -155,7 +153,6 @@ class RecoveryCoordinator {
   runtime::InstructionStoreInterface* store_;
   HeartbeatMonitor* monitor_;
   RecoveryOptions options_;
-  std::shared_ptr<SpareKeyAllocator> spare_keys_;
 
   mutable std::mutex mu_;
   RecoveryReport report_;                    // guarded by mu_

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -47,10 +46,8 @@
 #include "src/common/fault_injection.h"
 #include "src/executor/executor.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_serde.h"
-#include "src/service/recovery.h"
-#include "src/transport/shm_store.h"
+#include "src/transport/control_plane.h"
 
 namespace dynapipe {
 namespace {
@@ -79,6 +76,23 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
   dev.instructions.push_back(instr);
   plan.devices.push_back(std::move(dev));
   return plan;
+}
+
+// The epoch's plans, plans[replica][iteration] = MarkerPlan(base + 10 *
+// iteration + replica), plus every plan's encoded bytes for the children's
+// set-membership check.
+std::pair<std::vector<std::vector<sim::ExecutionPlan>>, std::vector<std::string>>
+MakeMarkerEpoch(int32_t base) {
+  std::vector<std::vector<sim::ExecutionPlan>> plans(kBaseReplicas);
+  std::vector<std::string> bytes;
+  for (int i = 0; i < kIterations; ++i) {
+    for (int32_t r = 0; r < kBaseReplicas; ++r) {
+      plans[static_cast<size_t>(r)].push_back(MarkerPlan(base + 10 * i + r));
+      bytes.push_back(
+          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
+    }
+  }
+  return {std::move(plans), std::move(bytes)};
 }
 
 bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
@@ -151,62 +165,41 @@ struct ChurnChildSpec {
   ::_exit(0);
 }
 
-// The trainer-side control plane for one churn epoch, wired exactly like the
-// Trainer does it: monitor -> recovery -> membership on one shared spare-key
-// allocator, fed by the segment poller. Declaration order is teardown order
-// in reverse: the poller stops feeding the monitor before membership and
-// recovery unhook.
-struct ChurnControlPlane {
-  ChurnControlPlane(const std::string& shm_name,
-                    const std::vector<std::vector<sim::ExecutionPlan>>& plans,
-                    double dead_after_ms)
-      : monitor(MonitorOptions(dead_after_ms)),
-        store(transport::ShmInstructionStore::Create(
-            shm_name, transport::ShmStoreOptions{})) {
-    // Publish the whole epoch before the poller starts delivering events:
-    // a joiner can announce the moment the segment exists, and its
-    // admission steal should find a backlog worth sharing.
-    for (int i = 0; i < kIterations; ++i) {
-      for (int32_t r = 0; r < kBaseReplicas; ++r) {
-        store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-      }
-    }
-    auto spare_keys =
-        std::make_shared<service::SpareKeyAllocator>(kIterations);
-    service::RecoveryOptions ropts;
+// The publisher-side control plane for one churn epoch: monitor -> recovery
+// -> membership on one shared spare-key allocator, fed by the segment
+// poller. The whole epoch is published before polling starts: a joiner can
+// announce the moment the segment exists, and its admission steal should
+// find a backlog worth sharing.
+std::unique_ptr<transport::ControlPlane> StartChurnControlPlane(
+    const std::string& shm_name,
+    const std::vector<std::vector<sim::ExecutionPlan>>& plans,
+    double dead_after_ms) {
+  transport::ControlPlaneOptions opts;
+  opts.backend = transport::ControlPlaneOptions::Backend::kSharedMemory;
+  opts.endpoint = shm_name;
+  opts.monitor.straggler_multiple = 2.0;
+  opts.monitor.min_straggler_gap_ms = 50.0;
+  opts.monitor.expected_replicas = kBaseReplicas;  // membership re-gates it
+  if (dead_after_ms > 0) {
+    opts.monitor.suspect_after_ms = dead_after_ms / 3.0;
+    opts.monitor.dead_after_ms = dead_after_ms;
+  }
+  for (int32_t r = 0; r < kBaseReplicas; ++r) {
+    opts.fleet.push_back(r);
+  }
+  opts.spare_base = kIterations;
+  opts.recovery.emplace();
+  opts.membership.emplace();
+  auto plane = std::make_unique<transport::ControlPlane>(opts);
+  for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kBaseReplicas; ++r) {
-      ropts.replicas.push_back(r);
+      plane->store()->Push(
+          i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
     }
-    ropts.spare_iteration_base = kIterations;
-    ropts.spare_keys = spare_keys;
-    recovery.emplace(store.get(), &monitor, ropts);
-    service::MembershipOptions mopts;
-    mopts.initial_replicas = ropts.replicas;
-    mopts.spare_keys = spare_keys;
-    transport::ShmInstructionStore* raw = store.get();
-    mopts.drain_ack = [raw](int32_t replica) { raw->AcknowledgeDrain(replica); };
-    membership.emplace(store.get(), &monitor, &*recovery, mopts);
-    poller.emplace(store, &monitor);
   }
-
-  static service::HeartbeatMonitorOptions MonitorOptions(double dead_after_ms) {
-    service::HeartbeatMonitorOptions mopts;
-    mopts.straggler_multiple = 2.0;
-    mopts.min_straggler_gap_ms = 50.0;
-    mopts.expected_replicas = kBaseReplicas;  // membership re-gates it live
-    if (dead_after_ms > 0) {
-      mopts.suspect_after_ms = dead_after_ms / 3.0;
-      mopts.dead_after_ms = dead_after_ms;
-    }
-    return mopts;
-  }
-
-  service::HeartbeatMonitor monitor;
-  std::shared_ptr<transport::ShmInstructionStore> store;
-  std::optional<service::RecoveryCoordinator> recovery;
-  std::optional<service::MembershipCoordinator> membership;
-  std::optional<transport::ShmHeartbeatPoller> poller;
-};
+  plane->Start();
+  return plane;
+}
 
 // ---------- the deterministic acceptance test ----------
 
@@ -218,15 +211,7 @@ struct ChurnControlPlane {
 // once, byte-identical.
 TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   constexpr int32_t kDrainer = 2;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kBaseReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kBaseReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(500 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(500);
   const std::string shm_name = UniqueShmName("accept");
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
@@ -250,13 +235,14 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
 
   // No liveness deadlines: nobody dies here, and a false death would steal
   // the drainer's exit from under the assertion.
-  ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/0.0);
+  const auto plane =
+      StartChurnControlPlane(shm_name, plans, /*dead_after_ms=*/0.0);
 
-  ASSERT_TRUE(WaitUntil([&] { return plane.store->size() == 0; }, 30'000));
+  ASSERT_TRUE(WaitUntil([&] { return plane->store()->size() == 0; }, 30'000));
   const int64_t expected_beats =
       static_cast<int64_t>(kIterations) * kBaseReplicas;
   ASSERT_TRUE(WaitUntil(
-      [&] { return plane.monitor.total_heartbeats() >= expected_beats; },
+      [&] { return plane->monitor().total_heartbeats() >= expected_beats; },
       10'000));
 
   for (size_t c = 0; c < children.size(); ++c) {
@@ -268,11 +254,11 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
 
   // Exactly once: nothing resident, every published plan heartbeat exactly
   // one completion wherever it ended up running.
-  EXPECT_EQ(plane.store->size(), 0u);
-  EXPECT_EQ(plane.monitor.total_heartbeats(), expected_beats);
+  EXPECT_EQ(plane->store()->size(), 0u);
+  EXPECT_EQ(plane->monitor().total_heartbeats(), expected_beats);
 
   // The join: admitted, seeded with stolen tail backlog.
-  const service::MembershipReport mreport = plane.membership->report();
+  const service::MembershipReport mreport = plane->report().membership;
   EXPECT_EQ(mreport.joined, std::vector<int32_t>{kJoiner});
   EXPECT_GE(mreport.join_stolen_iterations, 1);
   // The drain: fenced and handed off (the drainer left 4 unfetched), then
@@ -284,16 +270,16 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   // the active fleet while the joiner stays a member.
   ASSERT_TRUE(WaitUntil(
       [&] {
-        return plane.monitor.Liveness(kDrainer) ==
+        return plane->monitor().Liveness(kDrainer) ==
                service::ReplicaLiveness::kDetached;
       },
       5'000));
-  EXPECT_TRUE(plane.monitor.DeadReplicas().empty());
-  EXPECT_EQ(plane.membership->ActiveMembers(),
+  EXPECT_TRUE(plane->monitor().DeadReplicas().empty());
+  EXPECT_EQ(plane->report().active_members,
             (std::vector<int32_t>{0, 1, kJoiner}));
 
   // Recovery never ran: a drain is not a death.
-  const service::RecoveryReport rreport = plane.recovery->report();
+  const service::RecoveryReport rreport = plane->report().recovery;
   EXPECT_TRUE(rreport.dead_replicas.empty());
   EXPECT_EQ(rreport.replanned_iterations, 0);
 }
@@ -345,16 +331,8 @@ void RunSeededChurnEpoch(uint32_t seed) {
   const ChurnSchedule schedule(seed);
   const bool crash = schedule.fault_kind == 1;
 
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kBaseReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kBaseReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(
-          MarkerPlan(static_cast<int32_t>(1000 * seed) + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] =
+      MakeMarkerEpoch(static_cast<int32_t>(1000 * seed));
   const std::string shm_name = UniqueShmName("chaos");
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
@@ -386,7 +364,8 @@ void RunSeededChurnEpoch(uint32_t seed) {
   // children's idle windows, while the 450 ms stall and the paced gaps
   // between publishes never get near it (idle shm executors stamp their
   // slot's alive marker on every probe).
-  ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/1'200.0);
+  const auto plane =
+      StartChurnControlPlane(shm_name, plans, /*dead_after_ms=*/1'200.0);
 
   // A crash loses exactly one heartbeat: the victim dies at the heartbeat
   // site, after executing the plan it never reported. Everything else —
@@ -394,9 +373,9 @@ void RunSeededChurnEpoch(uint32_t seed) {
   // exactly once.
   const int64_t expected_beats =
       static_cast<int64_t>(kIterations) * kBaseReplicas - (crash ? 1 : 0);
-  ASSERT_TRUE(WaitUntil([&] { return plane.store->size() == 0; }, 30'000));
+  ASSERT_TRUE(WaitUntil([&] { return plane->store()->size() == 0; }, 30'000));
   ASSERT_TRUE(WaitUntil(
-      [&] { return plane.monitor.total_heartbeats() >= expected_beats; },
+      [&] { return plane->monitor().total_heartbeats() >= expected_beats; },
       15'000));
 
   for (int32_t r = 0; r <= kJoiner; ++r) {
@@ -412,24 +391,24 @@ void RunSeededChurnEpoch(uint32_t seed) {
     }
   }
 
-  EXPECT_EQ(plane.store->size(), 0u);
-  EXPECT_EQ(plane.monitor.total_heartbeats(), expected_beats);
+  EXPECT_EQ(plane->store()->size(), 0u);
+  EXPECT_EQ(plane->monitor().total_heartbeats(), expected_beats);
 
   // Only a crash produces a death; a stall is a straggle and a drain is a
   // goodbye. Nobody innocent ever dies.
   if (crash) {
-    EXPECT_EQ(plane.monitor.DeadReplicas(),
+    EXPECT_EQ(plane->monitor().DeadReplicas(),
               std::vector<int32_t>{schedule.fault_replica});
   } else {
-    EXPECT_TRUE(plane.monitor.DeadReplicas().empty());
+    EXPECT_TRUE(plane->monitor().DeadReplicas().empty());
   }
 
   // The schedule's churn was recorded: exactly this joiner, exactly this
   // drainer, and no survivor left to drop a plan on.
-  const service::MembershipReport mreport = plane.membership->report();
+  const service::MembershipReport mreport = plane->report().membership;
   EXPECT_EQ(mreport.joined, std::vector<int32_t>{kJoiner});
   EXPECT_EQ(mreport.drained, std::vector<int32_t>{schedule.drainer});
-  const service::RecoveryReport rreport = plane.recovery->report();
+  const service::RecoveryReport rreport = plane->report().recovery;
   EXPECT_EQ(rreport.dropped_iterations, 0);
 }
 

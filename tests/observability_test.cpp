@@ -38,8 +38,8 @@
 #include "src/common/trace.h"
 #include "src/executor/executor.h"
 #include "src/runtime/instruction_store.h"
-#include "src/service/heartbeat_monitor.h"
 #include "src/sim/cluster_sim.h"
+#include "src/transport/control_plane.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
 #include "src/transport/store_server.h"
@@ -344,14 +344,12 @@ TEST(StatsChannelTest, CollectRemoteStatsPullsForkedExecutorSnapshot) {
     ::_exit(report.ok ? 0 : 2);
   }
 
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
+  transport::ControlPlaneOptions cp_opts;
+  cp_opts.endpoint = socket_path;
+  transport::ControlPlane plane(cp_opts);
+  plane.Start();
   for (int i = 0; i < kIterations; ++i) {
-    store.Push(i, 0, MarkerPlan(i + 1));
+    plane.store()->Push(i, 0, MarkerPlan(i + 1));
   }
 
   // The executor needs a moment to attach; retry the pull until it answers.
@@ -359,7 +357,7 @@ TEST(StatsChannelTest, CollectRemoteStatsPullsForkedExecutorSnapshot) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (remote.empty() && std::chrono::steady_clock::now() < deadline) {
-    remote = server.CollectRemoteStats(/*timeout_ms=*/1000);
+    remote = plane.CollectRemoteStats(/*timeout_ms=*/1000);
     if (remote.empty()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -374,7 +372,6 @@ TEST(StatsChannelTest, CollectRemoteStatsPullsForkedExecutorSnapshot) {
   ASSERT_EQ(::waitpid(child, &status, 0), child);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "executor exited with status " << status;
-  server.Stop();
 }
 
 // ---------- trace JSON helpers (shared by the tracing tests below) ----------
@@ -549,18 +546,16 @@ TEST(TraceAcceptanceTest, ForkedMuxEpochProducesCompleteAlignedChains) {
     children.push_back(child);
   }
 
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
+  transport::ControlPlaneOptions cp_opts;
+  cp_opts.endpoint = socket_path;
+  std::optional<transport::ControlPlane> plane(std::in_place, cp_opts);
+  plane->Start();
   for (int i = 0; i < kIterations; ++i) {
     // The "planned" span a PlanAheadService iteration would emit; replica −1
     // because one planning pass covers every replica.
     common::TraceSpan planned("planned", "plan", i, /*replica=*/-1);
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
-      store.Push(i, replica, MarkerPlan(i * kReplicas + replica + 1));
+      plane->store()->Push(i, replica, MarkerPlan(i * kReplicas + replica + 1));
     }
   }
 
@@ -570,7 +565,7 @@ TEST(TraceAcceptanceTest, ForkedMuxEpochProducesCompleteAlignedChains) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "executor exited with status " << status;
   }
-  server.Stop();
+  plane.reset();  // server-side spans are complete before the merge
   ASSERT_TRUE(common::Tracer::Instance().WriteMergedTrace());
 
   const std::string merged = ReadFileOrEmpty(trace_path);

@@ -1138,7 +1138,7 @@ TEST(RecoveryCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
   service::HeartbeatMonitor monitor(mopts);
   service::RecoveryOptions ropts;
   ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = 10;
+  ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RecoveryCoordinator recovery(&store, &monitor, ropts);
 
   // Replica 1 dies with three unfetched plans; 0 and 2 are survivors.
@@ -1172,6 +1172,7 @@ TEST(RecoveryCoordinatorTest, FailFastShutsTheStoreAndMovesNothing) {
   service::RecoveryOptions ropts;
   ropts.policy = service::FailurePolicy::kFailFast;
   ropts.replicas = {0, 1};
+  ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RecoveryCoordinator recovery(&store, &monitor, ropts);
 
   store.PushBytes(0, 1, "plan-a");
@@ -1196,6 +1197,7 @@ TEST(RecoveryCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
   service::HeartbeatMonitor monitor(mopts);
   service::RecoveryOptions ropts;
   ropts.replicas = {1};
+  ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RecoveryCoordinator recovery(&store, &monitor, ropts);
 
   store.PushBytes(0, 1, "plan-a");
@@ -1220,7 +1222,7 @@ TEST(RecoveryCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
   service::HeartbeatMonitor monitor(mopts);
   service::RecoveryOptions ropts;
   ropts.replicas = {0, 1};
-  ropts.spare_iteration_base = 10;
+  ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RecoveryCoordinator recovery(&store, &monitor, ropts);
 
   // Someone already published at the survivor's first spare key.
@@ -1249,7 +1251,7 @@ TEST(RecoveryCoordinatorTest, SpareKeysSurviveASecondDeath) {
   service::HeartbeatMonitor monitor(mopts);
   service::RecoveryOptions ropts;
   ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = 10;
+  ropts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RecoveryCoordinator recovery(&store, &monitor, ropts);
 
   store.PushBytes(0, 1, "plan-a");
@@ -1428,7 +1430,7 @@ TEST(RebalanceCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
   bopts.max_moves_per_event = 2;
   bopts.hysteresis_iterations = 4;
   bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = 10;
+  bopts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
 
   for (int64_t i = 0; i < 6; ++i) {
@@ -1441,7 +1443,7 @@ TEST(RebalanceCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
   const service::RebalanceReport report = rebalance.report();
   EXPECT_EQ(report.events, 1);
   EXPECT_EQ(report.moved_iterations, 2);
-  EXPECT_EQ(report.rebalanced_replicas, std::vector<int32_t>{1});
+  EXPECT_EQ(report.sources, std::vector<int32_t>{1});
   // The *tail* moved (the slow replica keeps the work it reaches next),
   // round-robin over the fast replicas at their spare keys.
   EXPECT_EQ(store.PendingIterations(1),
@@ -1459,7 +1461,7 @@ TEST(RebalanceCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
   bopts.max_moves_per_event = 2;
   bopts.hysteresis_iterations = 4;
   bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = 10;
+  bopts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
 
   for (int64_t i = 0; i < 8; ++i) {
@@ -1484,29 +1486,23 @@ TEST(RebalanceCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
   EXPECT_EQ(rebalance.report().events, 2);  // streak 1 of 2
 }
 
-TEST(RebalanceCoordinatorTest, ImmovableAndDeadReplicasPinTheirBacklog) {
+// A replica the monitor has declared dead is recovery's problem: the
+// rebalancer must not race it for the backlog, even when its late beats
+// flag it as a straggler.
+TEST(RebalanceCoordinatorTest, DeadReplicasPinTheirBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
   service::RebalanceOptions bopts;
   bopts.consecutive_flags = 1;
   bopts.replicas = {0, 1, 2};
-  bopts.immovable_replicas = {1};  // the trainer's own replica, say
-  bopts.spare_iteration_base = 10;
+  bopts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
 
-  store.PushBytes(0, 1, "pinned");
-  FeedIteration(monitor, 0, /*slow=*/1);
-  // Flagged, streak met — but immovable means its backlog stays put.
-  EXPECT_EQ(rebalance.report().events, 0);
-  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
-
-  // A replica the monitor has declared dead is recovery's problem: the
-  // rebalancer must not race it for the backlog.
   monitor.OnReplicaAttached(2);
   monitor.OnReplicaDisconnected(2, /*clean=*/false);  // grace 0 -> kDead
   store.PushBytes(0, 2, "dead-backlog");
-  FeedIteration(monitor, 1, /*slow=*/2);  // late beats from the dead replica
+  FeedIteration(monitor, 0, /*slow=*/2);  // late beats from the dead replica
   EXPECT_EQ(rebalance.report().events, 0);
   EXPECT_EQ(store.PendingIterations(2), std::vector<int64_t>{0});
 }
@@ -1518,7 +1514,7 @@ TEST(RebalanceCoordinatorTest, NoFastDestinationMeansNoMove) {
   service::RebalanceOptions bopts;
   bopts.consecutive_flags = 1;
   bopts.replicas = {1};  // nobody else configured to take work
-  bopts.spare_iteration_base = 10;
+  bopts.spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
   service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
 
   store.PushBytes(0, 1, "stuck");

@@ -33,8 +33,7 @@
 #include "src/runtime/planner.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
+#include "src/transport/control_plane.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
@@ -195,6 +194,23 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
   return plan;
 }
 
+// One epoch of marker plans for three replicas, plans[replica][iteration] =
+// MarkerPlan(base + 10 * iteration + replica), plus every plan's encoded
+// bytes: what forked children check fetched plans against (set membership,
+// since a moved plan keeps its bytes but not its key).
+std::pair<std::vector<std::vector<sim::ExecutionPlan>>, std::vector<std::string>>
+MakeMarkerEpoch(int32_t base, int iterations) {
+  std::vector<std::vector<sim::ExecutionPlan>> plans(3);
+  std::vector<std::string> bytes;
+  for (int i = 0; i < iterations; ++i) {
+    for (size_t r = 0; r < plans.size(); ++r) {
+      plans[r].push_back(MarkerPlan(base + 10 * i + static_cast<int32_t>(r)));
+      bytes.push_back(service::EncodeExecutionPlan(plans[r].back()));
+    }
+  }
+  return {std::move(plans), std::move(bytes)};
+}
+
 // The raw frame v4 exchange a wire joiner performs, held against a live
 // server with no client library in between: kAttach whose one-byte
 // capability payload carries kAttachCapJoin, answered kOk, and the replica
@@ -202,14 +218,13 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
 // check is done — closing it would read as the joiner vanishing right after
 // it arrived.
 TEST(WireJoinTest, RawAttachWithJoinCapabilityTurnsReplicaAlive) {
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(UniqueSocketPath("join"));
-  transport::InstructionStoreServer server(&transport, &store);
+  transport::ControlPlaneOptions opts;
+  opts.endpoint = UniqueSocketPath("join");
+  transport::ControlPlane plane(opts);
+  plane.Start();
 
-  std::unique_ptr<transport::Stream> conn = transport.Connect();
+  std::unique_ptr<transport::Stream> conn =
+      transport::ConnectUnixSocket(opts.endpoint);
   ASSERT_NE(conn, nullptr);
   transport::Frame attach;
   attach.type = transport::FrameType::kAttach;
@@ -220,11 +235,10 @@ TEST(WireJoinTest, RawAttachWithJoinCapabilityTurnsReplicaAlive) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, transport::FrameType::kOk);
   EXPECT_EQ(reply->request_id, 0u);  // the server echoes the id it received
-  EXPECT_EQ(monitor.Liveness(9), service::ReplicaLiveness::kAlive);
+  EXPECT_EQ(plane.monitor().Liveness(9), service::ReplicaLiveness::kAlive);
   // A join is announcement, not publication: the store itself is untouched.
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(plane.store()->size(), 0u);
   conn->Close();
-  server.Stop();
 }
 
 // ---------- the two-process epoch (acceptance criterion) ----------
@@ -575,18 +589,19 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
   // Margins sized for TSan (5-20x slowdown inflates fast replicas'
   // walls but not the sleep): a false flag needs a fast replica over
   // 2*median + 50 ms, a miss needs the fast median over ~200 ms.
-  service::HeartbeatMonitor monitor(service::HeartbeatMonitorOptions{
-      /*straggler_multiple=*/2.0, /*min_straggler_gap_ms=*/50.0});
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
+  transport::ControlPlaneOptions opts;
+  opts.endpoint = socket_path;
+  opts.monitor.straggler_multiple = 2.0;
+  opts.monitor.min_straggler_gap_ms = 50.0;
+  transport::ControlPlane plane(opts);
+  const auto store = plane.store();
+  const service::HeartbeatMonitor& monitor = plane.monitor();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
-      store.Push(i, replica, exec_plans[static_cast<size_t>(i)]);
+      store->Push(i, replica, exec_plans[static_cast<size_t>(i)]);
     }
   }
+  plane.Start();
 
   for (const pid_t child : children) {
     int status = 0;
@@ -594,7 +609,7 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "executor exited with status " << status;
   }
-  EXPECT_EQ(store.size(), 0u);  // every plan fetched exactly once
+  EXPECT_EQ(store->size(), 0u);  // every plan fetched exactly once
 
   // Straggler attribution: every iteration saw all replicas, and the slowed
   // one — only the slowed one — is over 2x median + 50 ms.
@@ -611,7 +626,6 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
     EXPECT_EQ(monitor.LastIteration(replica), kIterations - 1);
   }
   EXPECT_TRUE(monitor.LaggingReplicas(0).empty());
-  server.Stop();
 }
 
 // The daemon shape: an open-ended executor (iterations < 0) drains plans as
@@ -621,22 +635,18 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
 // reconnect, so server teardown cannot race a poll into the fatal no-reply
 // contract of a plain Contains.
 TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
-  const std::string socket_path = UniqueSocketPath("drain");
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  auto transport =
-      std::make_unique<transport::UnixSocketTransport>(socket_path);
-  store.set_heartbeat_sink(&monitor);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  store.Push(0, 0, MarkerPlan(1));
-  store.Push(1, 0, MarkerPlan(2));
+  transport::ControlPlaneOptions cp_opts;
+  cp_opts.endpoint = UniqueSocketPath("drain");
+  auto plane = std::make_unique<transport::ControlPlane>(cp_opts);
+  const auto store = plane->store();
+  store->Push(0, 0, MarkerPlan(1));
+  store->Push(1, 0, MarkerPlan(2));
+  plane->Start();
 
   executor::ExecutorReport report;
   std::thread daemon([&] {
     executor::ExecutorOptions opts;
-    opts.attach = socket_path;
+    opts.attach = cp_opts.endpoint;
     opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
     opts.replica = 0;
     opts.iterations = -1;           // open-ended: run until the epoch ends
@@ -645,19 +655,17 @@ TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
   });
   // Both published plans executed and heartbeat; the daemon is now parked
   // polling for iteration 2.
-  while (monitor.total_heartbeats() < 2) {
+  while (plane->monitor().total_heartbeats() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(store->size(), 0u);
   // Publisher teardown: destroying the transport closes the listener and
   // unlinks the path, so the daemon's probes read "publisher gone".
-  server->Stop();
-  server.reset();
-  transport.reset();
+  plane.reset();
   daemon.join();
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.iterations_run, 2);
   EXPECT_EQ(report.heartbeats_sent, 2);
-  EXPECT_EQ(store.size(), 0u);
 }
 
 // ---------- the failure control loop (acceptance criterion) ----------
@@ -719,6 +727,30 @@ bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
   return true;
 }
 
+// The publisher side of the mux fault tests: a control plane for
+// `socket_path` with recovery over replicas 0..2 (spare keys from the
+// epoch's iteration count) and the epoch (plans[replica][iteration])
+// already published. The caller starts serving.
+std::unique_ptr<transport::ControlPlane> MakeFaultControlPlane(
+    const std::string& socket_path,
+    const std::vector<std::vector<sim::ExecutionPlan>>& plans,
+    const service::HeartbeatMonitorOptions& monitor = {}) {
+  transport::ControlPlaneOptions opts;
+  opts.endpoint = socket_path;
+  opts.monitor = monitor;
+  opts.fleet = {0, 1, 2};
+  opts.spare_base = static_cast<int64_t>(plans[0].size());
+  opts.recovery.emplace();
+  auto plane = std::make_unique<transport::ControlPlane>(opts);
+  for (size_t i = 0; i < plans[0].size(); ++i) {
+    for (size_t r = 0; r < plans.size(); ++r) {
+      plane->store()->Push(static_cast<int64_t>(i), static_cast<int32_t>(r),
+                           plans[r][i]);
+    }
+  }
+  return plane;
+}
+
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
 // fault point — a real crash, no unwind, no goodbye. The persistent mux
 // stream it attached on drops uncleanly, so with connection grace 0 the monitor
@@ -732,15 +764,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(0, kIterations);
   const std::string socket_path = UniqueSocketPath("kill");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -755,24 +779,9 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   }
 
   // Control plane. No heartbeat deadlines: death comes from the unclean
-  // connection drop alone (grace 0 = a vanished process is dead now). The
-  // coordinator subscribes before the server serves its first frame.
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  // connection drop alone (grace 0 = a vanished process is dead now).
+  auto plane = MakeFaultControlPlane(socket_path, plans);
+  plane->Start();
 
   // The victim dies by SIGKILL at its own fault point, after consuming
   // iterations 0 and 1.
@@ -782,10 +791,11 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
       << "victim status " << status;
   // Death declared, backlog re-published, survivors drain everything —
   // including the moved plan at its spare iteration.
-  ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.Liveness(kVictim), service::ReplicaLiveness::kDead);
-  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::RecoveryReport report = recovery.report();
+  ASSERT_TRUE(WaitUntil([&] { return plane->store()->size() == 0; }, 30'000));
+  EXPECT_EQ(plane->monitor().Liveness(kVictim),
+            service::ReplicaLiveness::kDead);
+  EXPECT_EQ(plane->monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
+  const service::RecoveryReport report = plane->report().recovery;
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);  // iteration 2's plan moved
   EXPECT_EQ(report.dropped_iterations, 0);
@@ -793,9 +803,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   EXPECT_GE(report.recovery_ms, 0.0);
 
   // Teardown ends the survivors' open-ended runs cleanly.
-  server->Stop();
-  server.reset();
-  transport.reset();
+  plane.reset();
   for (int32_t r = 0; r < kReplicas; ++r) {
     if (r == kVictim) continue;
     ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
@@ -819,15 +827,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(100 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(100, kIterations);
   const std::string socket_path = UniqueSocketPath("stall");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -844,22 +844,8 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   service::HeartbeatMonitorOptions mopts;
   mopts.suspect_after_ms = 150.0;
   mopts.dead_after_ms = 450.0;
-  service::HeartbeatMonitor monitor(mopts);
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  auto plane = MakeFaultControlPlane(socket_path, plans, mopts);
+  plane->Start();
 
   // The victim wakes from its stall into a kEvicted heartbeat reply and
   // exits as evicted (code 7) — the server must still be up for it to hear
@@ -868,16 +854,14 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   ASSERT_EQ(::waitpid(children[kVictim], &status, 0), children[kVictim]);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 7)
       << "victim status " << status;
-  ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::RecoveryReport report = recovery.report();
+  ASSERT_TRUE(WaitUntil([&] { return plane->store()->size() == 0; }, 30'000));
+  EXPECT_EQ(plane->monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
+  const service::RecoveryReport report = plane->report().recovery;
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);
   EXPECT_EQ(report.dropped_iterations, 0);
 
-  server->Stop();
-  server.reset();
-  transport.reset();
+  plane.reset();
   for (int32_t r = 0; r < kReplicas; ++r) {
     if (r == kVictim) continue;
     ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
@@ -897,15 +881,7 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(200 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(200, kIterations);
   const std::string socket_path = UniqueSocketPath("corrupt");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -922,22 +898,8 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
 
   service::HeartbeatMonitorOptions mopts;
   mopts.connection_grace_ms = 2'000.0;  // a drop is suspicion, not death
-  service::HeartbeatMonitor monitor(mopts);
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  const auto plane = MakeFaultControlPlane(socket_path, plans, mopts);
+  plane->Start();
 
   for (const pid_t child : children) {
     int status = 0;
@@ -945,12 +907,11 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "executor status " << status;
   }
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(monitor.DeadReplicas().empty());
-  const service::RecoveryReport report = recovery.report();
+  EXPECT_EQ(plane->store()->size(), 0u);
+  EXPECT_TRUE(plane->monitor().DeadReplicas().empty());
+  const service::RecoveryReport report = plane->report().recovery;
   EXPECT_TRUE(report.dead_replicas.empty());
   EXPECT_EQ(report.replanned_iterations, 0);
-  server->Stop();
 }
 
 // Two deaths in one epoch. Replica 1 crashes at its first heartbeat; the
@@ -968,15 +929,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kFirstVictim = 1;
   constexpr int32_t kSecondVictim = 2;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(300 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(300, kIterations);
   const std::string socket_path = UniqueSocketPath("twokill");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -996,22 +949,8 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
     children.push_back(child);
   }
 
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  auto plane = MakeFaultControlPlane(socket_path, plans);
+  plane->Start();
 
   // Both victims die by SIGKILL at their fault points, in pace order.
   int status = 0;
@@ -1024,10 +963,10 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "second victim status " << status;
 
-  ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.DeadReplicas(),
+  ASSERT_TRUE(WaitUntil([&] { return plane->store()->size() == 0; }, 30'000));
+  EXPECT_EQ(plane->monitor().DeadReplicas(),
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
-  const service::RecoveryReport report = recovery.report();
+  const service::RecoveryReport report = plane->report().recovery;
   EXPECT_EQ(report.dead_replicas,
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
   // First death: iterations 1 and 2 of replica 1 move. Second death: the
@@ -1036,12 +975,64 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   EXPECT_EQ(report.dropped_iterations, 0);
   EXPECT_FALSE(report.fail_fast_triggered);
 
-  server->Stop();
-  server.reset();
-  transport.reset();
+  plane.reset();
   ASSERT_EQ(::waitpid(children[0], &status, 0), children[0]);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "survivor status " << status;
+}
+
+// Subscribe before serving, over mux. The victim is already connecting
+// while the control plane is built; it attaches on the first frames served
+// after Start() and SIGKILLs itself on its very next write (the clock-sync
+// frame), so with connection grace 0 its death lands in the window right
+// after Start(). Recovery must already be subscribed: the victim fetched
+// nothing, so its whole backlog is reposted to the survivors. The plane is
+// then torn down while a live client still heartbeats into it.
+TEST(ControlPlaneStartupTest, DeathRightAfterStartIsRecoveredOverMux) {
+  constexpr int kIterations = 3;
+  constexpr int32_t kVictim = 1;
+  const auto [plans, expected] = MakeMarkerEpoch(600, kIterations);
+  const std::string socket_path = UniqueSocketPath("startdeath");
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    RunFaultChild(socket_path, kVictim, expected, "crash@1#transport.write",
+                  /*iterations=*/-1, /*require_reconnect=*/false);
+  }
+
+  auto plane = MakeFaultControlPlane(socket_path, plans);
+  // The victim is connected (or retrying) by now, but nothing is served
+  // before Start(): its attach and death wait for the live subscriptions.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(plane->monitor().KnownReplicas().empty());
+  plane->Start();
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "victim status " << status;
+  ASSERT_TRUE(WaitUntil(
+      [&] { return !plane->report().recovery.dead_replicas.empty(); },
+      10'000));
+  const service::RecoveryReport report = plane->report().recovery;
+  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
+  EXPECT_EQ(report.replanned_iterations, kIterations);
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_TRUE(plane->store()->PendingIterations(kVictim).empty());
+
+  // Teardown with the server's accept, connection and push threads live.
+  auto client = transport::MuxInstructionStore::OverUnixSocket(socket_path);
+  std::atomic<bool> stop{false};
+  std::thread beats([&] {
+    bool evicted = false;
+    for (int64_t i = 0; !stop.load(); ++i) {
+      client->TryHeartbeat(/*replica=*/0, i, /*wall_ms=*/1.0, &evicted);
+    }
+  });
+  EXPECT_TRUE(WaitUntil(
+      [&] { return plane->monitor().total_heartbeats() > 0; }, 10'000));
+  plane.reset();
+  stop.store(true);
+  beats.join();
 }
 
 // ---------- the shm failure control loop (acceptance criterion) ----------
@@ -1157,15 +1148,7 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
   constexpr double kPaceMs = 60.0;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(400 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const auto [plans, expected] = MakeMarkerEpoch(400, kIterations);
   const std::string shm_name = UniqueShmName("stall");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1187,26 +1170,27 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   // Control plane, created only after the forks (no threads cross fork).
   // No death deadlines: a 1200 ms stall must stay a straggler, never a
   // death — rebalancing, not recovery, is under test.
-  service::HeartbeatMonitorOptions mopts;
-  mopts.straggler_multiple = 2.0;
-  mopts.min_straggler_gap_ms = 50.0;
-  mopts.expected_replicas = kReplicas;
-  service::HeartbeatMonitor monitor(mopts);
-  auto store = transport::ShmInstructionStore::Create(
-      shm_name, transport::ShmStoreOptions{});
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 1;
-  bopts.max_moves_per_event = 2;
-  bopts.hysteresis_iterations = kIterations;  // one event per epoch, max
-  bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = kIterations;
-  service::RebalanceCoordinator rebalance(store.get(), &monitor, bopts);
-  transport::ShmHeartbeatPoller poller(store, &monitor);
+  transport::ControlPlaneOptions opts;
+  opts.backend = transport::ControlPlaneOptions::Backend::kSharedMemory;
+  opts.endpoint = shm_name;
+  opts.monitor.straggler_multiple = 2.0;
+  opts.monitor.min_straggler_gap_ms = 50.0;
+  opts.monitor.expected_replicas = kReplicas;
+  opts.fleet = {0, 1, 2};
+  opts.spare_base = kIterations;
+  opts.rebalance.emplace();
+  opts.rebalance->consecutive_flags = 1;
+  opts.rebalance->max_moves_per_event = 2;
+  opts.rebalance->hysteresis_iterations = kIterations;  // one event, max
+  transport::ControlPlane plane(opts);
+  const auto store = plane.store();
+  const service::HeartbeatMonitor& monitor = plane.monitor();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
     }
   }
+  plane.Start();
 
   // Every plan — including the migrated ones at spare keys — executes
   // exactly once somewhere, so the drain and the heartbeat total are exact
@@ -1233,12 +1217,66 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   EXPECT_EQ(stalled.stragglers, std::vector<int32_t>{kVictim});
   EXPECT_GE(stalled.max_wall_ms, 1200.0);
   // And reacted to: unfetched backlog moved off the straggler mid-epoch.
-  const service::RebalanceReport report = rebalance.report();
+  const service::RebalanceReport report = plane.report().rebalance;
   EXPECT_GE(report.events, 1);
   EXPECT_GE(report.moved_iterations, 1);
-  EXPECT_EQ(report.rebalanced_replicas, std::vector<int32_t>{kVictim});
+  EXPECT_EQ(report.sources, std::vector<int32_t>{kVictim});
   // Nobody was declared dead: a stall is a straggle, not a failure.
   EXPECT_TRUE(monitor.DeadReplicas().empty());
+}
+
+// Subscribe before serving, over shm. A replica outside the fleet announces
+// itself in the segment before the heartbeat poller exists, so its join is
+// delivered on the poller's first pass. Membership must already be chained
+// behind recovery: it admits the joiner and seeds it with a fair share of
+// the deepest backlog at the spare base. The plane is then torn down while
+// the joiner keeps heartbeating and the poller is delivering.
+TEST(ControlPlaneStartupTest, JoinRightAfterStartIsAdmittedOverShm) {
+  constexpr int kIterations = 4;
+  constexpr int32_t kJoiner = 3;
+  transport::ControlPlaneOptions opts;
+  opts.backend = transport::ControlPlaneOptions::Backend::kSharedMemory;
+  opts.endpoint = UniqueShmName("startjoin");
+  opts.monitor.expected_replicas = 3;
+  opts.fleet = {0, 1, 2};
+  opts.spare_base = kIterations;
+  opts.recovery.emplace();
+  opts.membership.emplace();
+  auto plane = std::make_unique<transport::ControlPlane>(opts);
+  for (int i = 0; i < kIterations; ++i) {
+    plane->store()->Push(i, /*replica=*/0, MarkerPlan(700 + i));
+  }
+  // A second handle on the segment, the way an executor process attaches.
+  const auto joiner = transport::ShmInstructionStore::Attach(opts.endpoint);
+  joiner->AnnounceReplica(kJoiner);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(plane->monitor().KnownReplicas().empty());  // no poller yet
+  plane->Start();
+
+  ASSERT_TRUE(WaitUntil(
+      [&] { return !plane->report().membership.joined.empty(); }, 10'000));
+  const transport::ControlPlaneReport report = plane->report();
+  EXPECT_EQ(report.membership.joined, std::vector<int32_t>{kJoiner});
+  // Fair share: 4 pending on the deepest member / a fleet of 4. The tail
+  // plan moved to the joiner's first spare key.
+  EXPECT_EQ(report.membership.join_stolen_iterations, 1);
+  EXPECT_EQ(report.active_members, (std::vector<int32_t>{0, 1, 2, kJoiner}));
+  EXPECT_EQ(plane->monitor().expected_replicas(), 4);
+  EXPECT_EQ(joiner->Fetch(kIterations, kJoiner), MarkerPlan(700 + 3));
+  EXPECT_TRUE(report.recovery.dead_replicas.empty());
+
+  std::atomic<bool> stop{false};
+  std::thread beats([&] {
+    for (int64_t i = 0; !stop.load(); ++i) {
+      joiner->Heartbeat(kJoiner, i, /*wall_ms=*/1.0);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  EXPECT_TRUE(WaitUntil(
+      [&] { return plane->monitor().total_heartbeats() > 0; }, 10'000));
+  plane.reset();
+  stop.store(true);
+  beats.join();
 }
 
 // The mux client against the store server: many threads sharing ONE stream,

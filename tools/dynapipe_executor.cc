@@ -69,13 +69,9 @@
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_serde.h"
 #include "src/service/rebalance.h"
-#include "src/service/recovery.h"
-#include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
+#include "src/transport/control_plane.h"
 
 namespace {
 
@@ -245,6 +241,62 @@ std::vector<sim::ExecutionPlan> PlanDemoEpoch() {
   return plans;
 }
 
+// The demos' publisher-side control plane on `attach`: the kDemoReplicas
+// fleet, spare keys from `spare_base`, and straggler flags gated on the full
+// report set — every replica reports every iteration, and a partial set
+// must never flag anyone.
+transport::ControlPlaneOptions DemoControlPlaneOptions(
+    const std::string& attach, bool over_wire, int64_t spare_base) {
+  transport::ControlPlaneOptions opts;
+  opts.backend = over_wire
+                     ? transport::ControlPlaneOptions::Backend::kUnixSocketMux
+                     : transport::ControlPlaneOptions::Backend::kSharedMemory;
+  opts.endpoint = attach;
+  opts.monitor.straggler_multiple = 2.0;
+  opts.monitor.min_straggler_gap_ms = 25.0;
+  opts.monitor.expected_replicas = kDemoReplicas;
+  for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
+    opts.fleet.push_back(replica);
+  }
+  opts.spare_base = spare_base;
+  return opts;
+}
+
+// Publishes `iterations` iterations for every demo replica, cycling through
+// the planned epoch.
+void PublishDemoEpoch(runtime::InstructionStoreInterface* store,
+                      const std::vector<sim::ExecutionPlan>& plans,
+                      int iterations) {
+  for (int i = 0; i < iterations; ++i) {
+    for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
+      store->Push(i, replica, plans[static_cast<size_t>(i) % plans.size()]);
+    }
+  }
+}
+
+// Reaping finished the epoch, but shm heartbeat delivery is asynchronous:
+// the last beats are already in the segment slots, waiting for the poller
+// thread. Waits (bounded) for `expected` beats before the monitor is read.
+void AwaitShmBeats(const service::HeartbeatMonitor& monitor,
+                   int64_t expected) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
+  while (monitor.total_heartbeats() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+// After reaping, the parent owns the trace: fold its own spans (planned /
+// published) plus every child's .part file into one Perfetto JSON.
+void WriteMergedDemoTrace() {
+  if (common::Tracer::enabled() &&
+      common::Tracer::Instance().WriteMergedTrace()) {
+    std::printf("[demo] merged trace written to %s\n",
+                common::Tracer::Instance().path().c_str());
+  }
+}
+
 // Which replica the --demo --fault run injects into. Not the slow replica:
 // the fault demo drops the straggler setup entirely (it verifies the failure
 // loop, not attribution).
@@ -371,77 +423,38 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     children.push_back(pid);
   }
 
-  // Trainer side: bring the store up, publish, watch heartbeats. In fault
-  // mode the monitor gets liveness deadlines (well under the demo stall and
-  // idle budgets) and a RecoveryCoordinator closes the loop: death declared
-  // -> pending plans re-published to the survivors at spare iterations.
-  service::HeartbeatMonitorOptions monitor_opts;
-  monitor_opts.straggler_multiple = 2.0;
-  monitor_opts.min_straggler_gap_ms = 25.0;
-  // All replicas report every iteration, so gate straggler math on the full
-  // set — a partial report set must never flag anyone.
-  monitor_opts.expected_replicas = kDemoReplicas;
+  // Publisher side: one control plane hosts the store and watches
+  // heartbeats. In fault mode over the wire the monitor gets liveness
+  // deadlines (well under the demo stall and idle budgets) and recovery
+  // closes the loop: death declared -> pending plans re-published to the
+  // survivors at spare iterations. Over shm the liveness channel is the
+  // segment's heartbeat slots — no socket exists anywhere in that demo.
+  transport::ControlPlaneOptions cp_opts =
+      DemoControlPlaneOptions(attach, over_wire, demo_iterations);
   if (fault_mode && over_wire) {
-    monitor_opts.suspect_after_ms = 150.0;
-    monitor_opts.dead_after_ms = 450.0;
-    monitor_opts.connection_grace_ms = 0.0;  // a dropped connection is death
+    cp_opts.monitor.suspect_after_ms = 150.0;
+    cp_opts.monitor.dead_after_ms = 450.0;
+    cp_opts.monitor.connection_grace_ms = 0.0;  // a dropped connection is death
+    cp_opts.recovery.emplace();
   }
   // The shm stall demo leaves the liveness deadlines off: a wedged-but-alive
   // replica is a straggler for the rebalancer, not a death for recovery.
-  service::HeartbeatMonitor monitor(monitor_opts);
-  std::optional<runtime::InstructionStore> store;
-  std::optional<transport::UnixSocketTransport> transport_ep;
-  std::optional<transport::InstructionStoreServer> server;
-  std::optional<service::RecoveryCoordinator> recovery;
-  std::shared_ptr<transport::ShmInstructionStore> shm;
-  std::optional<service::RebalanceCoordinator> rebalance;
-  // Declared after the coordinators: the poller stops feeding the monitor
-  // before either of them unhooks.
-  std::optional<transport::ShmHeartbeatPoller> poller;
-  runtime::InstructionStoreInterface* publish_to = nullptr;
-  if (over_wire) {
-    store.emplace(runtime::InstructionStoreOptions{/*serialized=*/true,
-                                                   /*capacity=*/0});
-    store->set_heartbeat_sink(&monitor);
-    transport_ep.emplace(attach);
-    server.emplace(&*transport_ep, &*store);
-    if (fault_mode) {
-      service::RecoveryOptions ropts;
-      for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-        ropts.replicas.push_back(replica);
-      }
-      ropts.spare_iteration_base = kDemoIterations;
-      recovery.emplace(&*store, &monitor, ropts);
-    }
-    publish_to = &*store;
-  } else {
-    shm = transport::ShmInstructionStore::Create(attach,
-                                                 transport::ShmStoreOptions{});
-    publish_to = shm.get();
-    if (shm_rebalance) {
-      // One persistent flag moves work: the demo stall is a single long
-      // wedge, so the streak threshold is 1; two plans migrate, split over
-      // the two fast replicas.
-      service::RebalanceOptions bopts;
-      bopts.consecutive_flags = 1;
-      bopts.max_moves_per_event = 2;
-      bopts.hysteresis_iterations = kDemoStallIterations;
-      for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-        bopts.replicas.push_back(replica);
-      }
-      bopts.spare_iteration_base = kDemoStallIterations;
-      rebalance.emplace(shm.get(), &monitor, bopts);
-    }
-    // The shm liveness channel: executors stamp heartbeat slots inside the
-    // segment; this poller replays them into the monitor. No socket exists
-    // anywhere in this demo.
-    poller.emplace(shm, &monitor);
+  // One persistent flag moves work: the demo stall is a single long wedge,
+  // so the streak threshold is 1; two plans migrate, split over the two
+  // fast replicas.
+  if (shm_rebalance) {
+    service::RebalanceOptions bopts;
+    bopts.consecutive_flags = 1;
+    bopts.max_moves_per_event = 2;
+    bopts.hysteresis_iterations = kDemoStallIterations;
+    cp_opts.rebalance = bopts;
   }
-  for (int i = 0; i < demo_iterations; ++i) {
-    for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-      publish_to->Push(i, replica, plans[static_cast<size_t>(i) % plans.size()]);
-    }
-  }
+  transport::ControlPlane plane(cp_opts);
+  service::HeartbeatMonitor& monitor = plane.monitor();
+  const std::shared_ptr<runtime::InstructionStoreInterface> store =
+      plane.store();
+  PublishDemoEpoch(store.get(), plans, demo_iterations);
+  plane.Start();
   if (fault_mode) {
     std::printf("[demo] published %dx%d plans on %s (%s), fault '%s' armed "
                 "in replica %d\n",
@@ -456,16 +469,6 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
                 kDemoSlowMs);
   }
 
-  // After reaping, the parent owns the trace: fold its own spans (planned /
-  // published) plus every child's .part file into one Perfetto JSON.
-  const auto write_merged_trace = [] {
-    if (common::Tracer::enabled() &&
-        common::Tracer::Instance().WriteMergedTrace()) {
-      std::printf("[demo] merged trace written to %s\n",
-                  common::Tracer::Instance().path().c_str());
-    }
-  };
-
   if (over_wire && !fault_mode) {
     // Mid-epoch stats pull: every attached mux child declared the stats
     // capability, so each answers a server-initiated kStatsRequest with its
@@ -476,7 +479,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     const auto stats_deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
     for (;;) {
-      remote = server->CollectRemoteStats(/*timeout_ms=*/1000);
+      remote = plane.CollectRemoteStats(/*timeout_ms=*/1000);
       if (!remote.empty() ||
           std::chrono::steady_clock::now() >= stats_deadline) {
         break;
@@ -535,28 +538,18 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
       ok = false;
     }
   }
-  if (publish_to->size() != 0) {
-    std::fprintf(stderr, "[demo] %zu plans left undrained\n",
-                 publish_to->size());
+  if (store->size() != 0) {
+    std::fprintf(stderr, "[demo] %zu plans left undrained\n", store->size());
     ok = false;
   }
 
-  // Reaping finished the epoch, but shm heartbeat delivery is asynchronous:
-  // the last beats are already in the segment slots, waiting for the poller
-  // thread. Wait for the full count (bounded) before reading the monitor.
-  if (poller.has_value()) {
-    const int64_t expected_beats =
-        static_cast<int64_t>(demo_iterations) * kDemoReplicas;
-    const auto drain_deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
-    while (monitor.total_heartbeats() < expected_beats &&
-           std::chrono::steady_clock::now() < drain_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+  if (!over_wire) {
+    AwaitShmBeats(monitor,
+                  static_cast<int64_t>(demo_iterations) * kDemoReplicas);
   }
 
   if (shm_rebalance) {
-    const service::RebalanceReport breport = rebalance->report();
+    const service::RebalanceReport breport = plane.report().rebalance;
     const service::IterationHeartbeatStats stalled =
         monitor.ForIteration(fault.at);
     std::string stragglers;
@@ -583,8 +576,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
       std::fprintf(stderr, "[demo] no rebalance happened\n");
       ok = false;
     }
-    if (breport.rebalanced_replicas !=
-        std::vector<int32_t>{kDemoFaultReplica}) {
+    if (breport.sources != std::vector<int32_t>{kDemoFaultReplica}) {
       std::fprintf(stderr, "[demo] only replica %d should have shed work\n",
                    kDemoFaultReplica);
       ok = false;
@@ -599,7 +591,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
                    static_cast<long long>(expected_beats));
       ok = false;
     }
-    write_merged_trace();
+    WriteMergedDemoTrace();
     std::printf("[demo] %s\n",
                 ok ? "ok: stall flagged via shm heartbeat slots, backlog "
                      "rebalanced to fast replicas, epoch drained"
@@ -608,7 +600,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
   }
 
   if (fault_mode) {
-    const service::RecoveryReport rreport = recovery->report();
+    const service::RecoveryReport rreport = plane.report().recovery;
     std::printf("[demo] recovery: dead=[");
     for (size_t i = 0; i < rreport.dead_replicas.size(); ++i) {
       std::printf("%s%d", i == 0 ? "" : ",", rreport.dead_replicas[i]);
@@ -629,10 +621,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
                            "survivors\n");
       ok = false;
     }
-    if (server.has_value()) {
-      server->Stop();
-    }
-    write_merged_trace();
+    WriteMergedDemoTrace();
     std::printf("[demo] %s\n",
                 ok ? "ok: fault fired, death declared, backlog re-published, "
                      "survivors drained"
@@ -661,10 +650,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     ok = ok && stats.stragglers == std::vector<int32_t>{kDemoSlowReplica};
   }
   ok = ok && monitor.total_heartbeats() == kDemoIterations * kDemoReplicas;
-  if (server.has_value()) {
-    server->Stop();
-  }
-  write_merged_trace();
+  WriteMergedDemoTrace();
   std::printf("[demo] %s\n", ok ? "ok: byte-identical plans, full drain, "
                                   "straggler attributed"
                                 : "FAILED");
@@ -764,49 +750,24 @@ int RunChurnDemo() {
     children.push_back(pid);
   }
 
-  service::HeartbeatMonitorOptions monitor_opts;
-  monitor_opts.straggler_multiple = 2.0;
-  monitor_opts.min_straggler_gap_ms = 25.0;
-  // Membership re-gates this live: 4 while the joiner overlaps the original
-  // fleet, 3 after the drainer leaves.
-  monitor_opts.expected_replicas = kDemoReplicas;
-  service::HeartbeatMonitor monitor(monitor_opts);
-  std::shared_ptr<transport::ShmInstructionStore> shm =
-      transport::ShmInstructionStore::Create(attach,
-                                             transport::ShmStoreOptions{});
-  // Publish the whole epoch before the poller starts delivering events: the
+  // The elastic control plane: monitor -> recovery -> membership on one
+  // shared spare-key allocator, so a crash repost and a churn handoff can
+  // never pick colliding destination keys.
+  // Membership re-gates the expected fleet live: 4 while the joiner
+  // overlaps the original fleet, 3 after the drainer leaves.
+  transport::ControlPlaneOptions cp_opts = DemoControlPlaneOptions(
+      attach, /*over_wire=*/false, kDemoStallIterations);
+  cp_opts.recovery.emplace();
+  cp_opts.membership.emplace();
+  transport::ControlPlane plane(cp_opts);
+  service::HeartbeatMonitor& monitor = plane.monitor();
+  const std::shared_ptr<runtime::InstructionStoreInterface> store =
+      plane.store();
+  // Publish the whole epoch before polling starts delivering events: the
   // joiner announces the moment the segment exists, and its admission steal
   // should find a backlog worth sharing.
-  for (int i = 0; i < kDemoStallIterations; ++i) {
-    for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-      shm->Push(i, replica, plans[static_cast<size_t>(i) % plans.size()]);
-    }
-  }
-  // One spare-key allocator across recovery and membership, so a crash
-  // repost and a churn handoff can never pick colliding destination keys.
-  auto spare_keys =
-      std::make_shared<service::SpareKeyAllocator>(kDemoStallIterations);
-  service::RecoveryOptions ropts;
-  for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-    ropts.replicas.push_back(replica);
-  }
-  ropts.spare_iteration_base = kDemoStallIterations;
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(shm.get(), &monitor, ropts);
-  service::MembershipOptions mopts;
-  for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-    mopts.initial_replicas.push_back(replica);
-  }
-  mopts.spare_keys = spare_keys;
-  transport::ShmInstructionStore* raw_shm = shm.get();
-  mopts.drain_ack = [raw_shm](int32_t replica) {
-    raw_shm->AcknowledgeDrain(replica);
-  };
-  service::MembershipCoordinator membership(shm.get(), &monitor, &recovery,
-                                            mopts);
-  // Declared last: the poller stops feeding the monitor before membership
-  // and recovery unhook.
-  transport::ShmHeartbeatPoller poller(shm, &monitor);
+  PublishDemoEpoch(store.get(), plans, kDemoStallIterations);
+  plane.Start();
 
   std::printf("[demo] published %dx%d plans on %s (shm): replica %d drains "
               "after %d iterations, replica %d joins at the spare base\n",
@@ -829,23 +790,16 @@ int RunChurnDemo() {
       ok = false;
     }
   }
-  if (shm->size() != 0) {
-    std::fprintf(stderr, "[demo] %zu plans left undrained\n", shm->size());
+  if (store->size() != 0) {
+    std::fprintf(stderr, "[demo] %zu plans left undrained\n", store->size());
     ok = false;
   }
 
-  // The last beats are already in the segment slots, waiting for the poller
-  // thread; wait for the full count (bounded) before reading the monitor.
   const int64_t expected_beats =
       static_cast<int64_t>(kDemoStallIterations) * kDemoReplicas;
-  const auto drain_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
-  while (monitor.total_heartbeats() < expected_beats &&
-         std::chrono::steady_clock::now() < drain_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  AwaitShmBeats(monitor, expected_beats);
 
-  const service::MembershipReport mreport = membership.report();
+  const service::MembershipReport mreport = plane.report().membership;
   std::string joined, drained;
   for (const int32_t replica : mreport.joined) {
     joined += (joined.empty() ? "" : ",") + std::to_string(replica);
@@ -886,11 +840,7 @@ int RunChurnDemo() {
                  static_cast<long long>(expected_beats));
     ok = false;
   }
-  if (common::Tracer::enabled() &&
-      common::Tracer::Instance().WriteMergedTrace()) {
-    std::printf("[demo] merged trace written to %s\n",
-                common::Tracer::Instance().path().c_str());
-  }
+  WriteMergedDemoTrace();
   std::printf("[demo] %s\n",
               ok ? "ok: joiner admitted and seeded, drainer acknowledged and "
                    "handed off, epoch drained exactly once"
